@@ -35,7 +35,8 @@ import re
 import sys
 
 from .classify import classify
-from .engine import arc_to_json, equal_in_mcg, is_right_veering_upto
+from .engine import (arc_to_json, equal_in_mcg, is_right_veering_upto,
+                     validate_bound)
 from .errors import (InvariantViolation, MalformedArcError,
                      PreconditionError, WordSyntaxError)
 from .lantern import positive_factorization, reduce, rf_to_json
@@ -170,8 +171,7 @@ def _run(args):
             else:
                 out.write(_fmt_classification(c) + "\n")
     elif args.subcommand == "check-rv":
-        if args.bound < 0:
-            raise PreconditionError("bound must be nonnegative")
+        validate_bound(args.bound)
         for text in _input_words(args):
             report = is_right_veering_upto(parse(text), args.bound)
             if args.format == "json":

@@ -18,13 +18,29 @@ under data (phi, W) has crossing word  W_s^{-1} · phi(u) · W_t  (freely
 reduced), because the closed-up loop (reference arc in, u across, reverse
 reference arc out) transforms by phi.
 
-**Equality oracle.**  Two words are equal in the mapping class group iff
-their action data coincide.  The reference arcs are chords of the 12-gon
-from the basepoint edge to each port, so together with the cut arcs they
-fill the surface (the complement is a union of disks); a homeomorphism
-fixing the boundary pointwise and every one of these arcs up to isotopy
-rel endpoints is isotopic to the identity, which makes the oracle exact
-rather than merely a hash.
+**Equality oracle.**  With the boundary fixed, Mod(S_0^4) = Z^4 x F_2:
+the four boundary twists span the central Z^4, and T_e, T_f generate a
+free group that maps isomorphically onto the level-2 subgroup of
+PSL(2,Z) (Farb-Margalit, *A Primer on Mapping Class Groups*, Ch. 2-3).
+The twist about the curve of slope p/q acts by the matrix
+[[1-2pq, 2p^2], [-2q^2, 1+2pq]], with e = 1/0, f = 0/1 and g, h = +-1;
+boundary twists act trivially.  The F_2 factor is read off the product
+of twist matrices up to sign, and the Z^4 factor then off the exponent
+class (the abelianization), so the pair is a complete invariant and
+``equal_in_mcg`` costs O(length) integer multiplies.  Which of +-1 is
+g's slope is pinned at model build by the lantern relations, and the
+pinned invariant is checked against the arc action.
+
+The action data stay the geometric reference (``_equal_by_action``):
+two words are equal in the mapping class group iff their action data
+coincide.  The reference arcs are chords of the 12-gon from the
+basepoint edge to each port, so together with the cut arcs they fill the
+surface (the complement is a union of disks); a homeomorphism fixing the
+boundary pointwise and every one of these arcs up to isotopy rel
+endpoints is isotopic to the identity, which makes the reference exact
+rather than merely a hash.  Its data grow like (3+2*sqrt(2))^n, the
+spectral radius of the slope matrices, so it certifies the model and
+cross-validates the invariant but answers no equality query.
 
 **Side comparison.**  Two distinct arcs with the same start point diverge
 either at a crossing or at an end port.  Lift the divergence to the cut
@@ -83,8 +99,8 @@ from typing import NamedTuple
 
 from . import geometry
 from .errors import InvariantViolation, MalformedArcError, PreconditionError
-from .words import (BOUNDARY, GENERATORS, INTERIOR, format_word,
-                    free_reduce, merge_terms, parse)
+from .words import (BOUNDARY, GENERATORS, INTERIOR, exponent_class,
+                    format_word, free_reduce, merge_terms, parse)
 
 LEFT = "Left"
 RIGHT = "Right"
@@ -265,6 +281,45 @@ def _action_from_polygon(polygon, sign):
         for p in PORTS)
     return ArcAction(tuple(_encode(p) for p in (phi1, phi2, phi3)),
                      tuple(_encode(v) for v in w))
+
+
+# ----------------------------------------------------------------------
+# slope matrices (the equality invariant)
+# ----------------------------------------------------------------------
+
+_EF_SLOPES = {"e": (1, 0), "f": (0, 1)}
+_GH_SLOPES = ((1, 1), (-1, 1))          # slopes +1 and -1; one is g's
+_IDENTITY_MATRIX = (1, 0, 0, 1)
+
+# word pairs (one positive twist per letter) that the pinned invariant must
+# decide as the arc action does: the lantern relations, their reorderings,
+# and two pairs of distinct mapping classes
+_PIN_CHECKS = (("gef", "abcd"), ("hfe", "abcd"), ("gfe", "abcd"),
+               ("hef", "abcd"), ("eeff", "efef"), ("g", "h"))
+
+
+def _slope_product(slopes, terms):
+    """Product of the twist matrices of ``terms`` (leftmost first) as a
+    row-major 4-tuple, sign-normalized so the first nonzero entry is
+    positive: the image in PSL(2,Z).  The twist about slope p/q is I + 2N
+    with N = [[-pq, p^2], [-q^2, pq]] nilpotent, so its k-th power is
+    I + 2kN.  Letters without a slope (boundary twists) act trivially."""
+    a, b, c, d = _IDENTITY_MATRIX
+    for letter, k in terms:
+        slope = slopes.get(letter)
+        if slope is None:
+            continue
+        p, q = slope
+        x, y = 1 - 2 * k * p * q, 2 * k * p * p
+        z, t = -2 * k * q * q, 1 + 2 * k * p * q
+        a, b, c, d = a * x + b * z, a * y + b * t, c * x + d * z, c * y + d * t
+    return (a, b, c, d) if a > 0 or (a == 0 and b > 0) else (-a, -b, -c, -d)
+
+
+def _invariant(slopes, terms):
+    """The complete invariant of the mapping class of ``terms``: its
+    image in PSL(2,Z) and its canonical exponent class."""
+    return _slope_product(slopes, terms), exponent_class(terms).canonical
 
 
 # ----------------------------------------------------------------------
@@ -449,9 +504,9 @@ class Model:
         self.tables = {k: raw[k] for k in "abcdef"}
         self._assign_gh(raw)
         self._certify_tables()
+        self.slopes = self._pin_slopes()
         self._piece_cache = {}
         self._action_cache = {}
-        self._equal_cache = {}
         self._rv_cache = {}
         self.library = None
 
@@ -483,6 +538,30 @@ class Model:
         gname, hname = winners[0]
         self.tables["g"] = raw[gname]
         self.tables["h"] = raw[hname]
+
+    def _pin_slopes(self):
+        """Decide which of the slopes +1 and -1 is g's: exactly one
+        assignment makes both  g e f  and  h f e  trivial in PSL(2,Z).  The
+        pinned invariant must then decide the lantern relations, their
+        reorderings and the e^2 f^2 / efef pair as the arc action does."""
+        winners = []
+        for g_slope, h_slope in (_GH_SLOPES, _GH_SLOPES[::-1]):
+            slopes = dict(_EF_SLOPES, g=g_slope, h=h_slope)
+            if all(_slope_product(slopes, parse(w)) == _IDENTITY_MATRIX
+                   for w in ("g e f", "h f e")):
+                winners.append(slopes)
+        if len(winners) != 1:
+            raise InvariantViolation("slope of g not pinned by relations",
+                                     winners=str(winners))
+        slopes = winners[0]
+        for w1, w2 in _PIN_CHECKS:
+            t1 = tuple((x, 1) for x in w1)
+            t2 = tuple((x, 1) for x in w2)
+            if (_invariant(slopes, t1) == _invariant(slopes, t2)) != \
+                    (self._letters_action(t1) == self._letters_action(t2)):
+                raise InvariantViolation("slope invariant disagrees with "
+                                         "the arc action", pair=w1 + "/" + w2)
+        return slopes
 
     def _certify_tables(self):
         for k in BOUNDARY:
@@ -649,41 +728,24 @@ def apply_word(arc, w):
     return get_model().apply_word(arc, w)
 
 
-def _flatten(terms):
-    out = []
-    for letter, exp in terms:
-        step = 1 if exp > 0 else -1
-        out.extend((letter, step) for _ in range(abs(exp)))
-    return out
+def _terms(w):
+    return parse(w) if isinstance(w, str) else merge_terms(w)
 
 
 def equal_in_mcg(w1, w2):
     """Exact equality of two words in the mapping class group, decided by
-    comparing their action data.  A shared syntactic prefix/suffix is
-    cancelled first (group-theoretically sound) so certificates that
-    differ only by common positive padding share cache entries."""
+    the complete invariant (twist-matrix product up to sign, exponent
+    class) in O(length) integer multiplies; see the module docstring."""
+    slopes = get_model().slopes
+    return _invariant(slopes, _terms(w1)) == _invariant(slopes, _terms(w2))
+
+
+def _equal_by_action(w1, w2):
+    """The geometric reference for :func:`equal_in_mcg`: compare the
+    action data on the filling arc system.  Exact, but the data grow
+    exponentially with the word, so only certification and tests use it."""
     model = get_model()
-    t1 = free_reduce(parse(w1) if isinstance(w1, str) else w1)
-    t2 = free_reduce(parse(w2) if isinstance(w2, str) else w2)
-    if t1 == t2:
-        return True
-    f1, f2 = _flatten(t1), _flatten(t2)
-    while f1 and f2 and f1[0] == f2[0]:
-        f1.pop(0)
-        f2.pop(0)
-    while f1 and f2 and f1[-1] == f2[-1]:
-        f1.pop()
-        f2.pop()
-    key = (tuple(f1), tuple(f2))
-    hit = model._equal_cache.get(key)
-    if hit is None:
-        hit = model.word_action(merge_terms(f1)) == \
-            model.word_action(merge_terms(f2))
-        if len(model._equal_cache) > 20000:
-            items = list(model._equal_cache.items())
-            model._equal_cache = dict(items[len(items) // 2:])
-        model._equal_cache[key] = hit
-    return hit
+    return model.word_action(_terms(w1)) == model.word_action(_terms(w2))
 
 
 # ----------------------------------------------------------------------
@@ -1158,6 +1220,12 @@ def _rv_search_uncached(model, terms, bound):
     return _dfs_search(model, action, bound)
 
 
+def validate_bound(bound):
+    """Reject a witness-search bound below one crossing."""
+    if bound < 1:
+        raise PreconditionError("bound must be >= 1, got %d" % bound)
+
+
 def is_right_veering_upto(w, bound=12):
     """Search every arc of at most ``bound`` crossings for one mapped to
     its own left at its start point.  Returns an :class:`RVReport` whose
@@ -1167,8 +1235,7 @@ def is_right_veering_upto(w, bound=12):
     Deterministic for fixed input: the witness, when one exists, is the
     first found in the documented probe/sweep/depth-first order (module
     docstring); a no-witness answer certifies the whole bounded tree."""
-    if bound < 1:
-        raise PreconditionError("bound must be >= 1")
+    validate_bound(bound)
     if isinstance(w, str):
         w = parse(w)
     model = get_model()
@@ -1188,6 +1255,6 @@ def certify_model():
     return {
         "tables": sorted(model.tables),
         "library": [entry.name for entry in library],
-        "lantern": (equal_in_mcg("g e f", "a b c d"),
-                    equal_in_mcg("h f e", "a b c d")),
+        "lantern": (_equal_by_action("g e f", "a b c d"),
+                    _equal_by_action("h f e", "a b c d")),
     }

@@ -13,9 +13,11 @@ monodromy word is equal in the mapping class group to
 
 where only m_1 or n_s may vanish.  :class:`ReducedForm` stores the
 exponent data (r, blocks); :func:`reduce` computes it, :func:`expand`
-maps back to a word.  The block count s is the one this procedure
-reaches, minimized over cyclic rotations by :func:`canonical_form`; it
-is *not* certified to be the global minimum over the relation set.
+maps back to a word.  The reduced form is unique: two words are equal
+in the mapping class group exactly when their reduced forms coincide,
+because the boundary twists span a central Z^4 factor and e, f generate
+a free group, so the freely reduced e/f word is a normal form.  This is
+a tested property (``reduce(w1) == reduce(w2)`` iff ``equal_in_mcg``).
 
 Conjugate monodromies carry the same contact-geometric labels, so the
 classifier consumes every cyclic rotation of the interior letter
@@ -26,8 +28,9 @@ stays put) and the e/f relabeling symmetry (:func:`mirror_ef`).
 argument: negative interior powers are eliminated through the lantern
 substitutions (each e^-1 costs one a^-1 b^-1 c^-1 d^-1 h f, each f^-1
 one a^-1 b^-1 c^-1 d^-1 g e, with cheaper junction variants when s = 1),
-consuming boundary twists.  Every produced word is certified against the
-arc engine's exact equality oracle before being returned.
+consuming boundary twists.  Every produced word is certified by the
+engine's exact equality oracle (slope matrices plus exponent class,
+cross-validated against the arc action) before being returned.
 """
 
 from __future__ import annotations
@@ -80,8 +83,7 @@ class ReducedForm:
 
     @property
     def s(self) -> int:
-        """Number of blocks reached by the rewriting procedure (not
-        certified minimal)."""
+        """Number of blocks of the (unique) reduced form."""
         return len(self.blocks)
 
     def __str__(self):
@@ -147,7 +149,7 @@ def reduce(w) -> ReducedForm:
     central boundary twists to the front, merge and cancel adjacent e/f
     powers to a fixpoint, and pack the alternating remainder into
     blocks.  The expansion of the result is equal to ``w`` in the
-    mapping class group (certifiable via the arc engine)."""
+    mapping class group, and equal words get equal forms."""
     terms = substitute_gh(w)
     r = {letter: 0 for letter in BOUNDARY}
     interior = []
@@ -261,7 +263,8 @@ class PositiveFactorization:
     """A positive word equal in the mapping class group to
     conjugator^-1 · expand(rotation of the input) · conjugator, together
     with the rule and rotation that produced it.  Construction certifies
-    the equality through the arc engine, so existence implies validity."""
+    the equality through the engine's equality oracle, so existence
+    implies validity."""
 
     word: Word
     rule: str
@@ -342,8 +345,8 @@ def positive_factorization(rf: ReducedForm):
     ``rf`` satisfying a fillability rule, or None when no rotation does.
     The output word has strictly positive exponents and is certified
     equal (after undoing the recorded conjugator) to the expansion of
-    that rotation through the arc engine; certification failure is an
-    invariant-violation fault, not a None."""
+    that rotation by the engine's equality oracle; certification failure
+    is an invariant-violation fault, not a None."""
     for k, rho in enumerate(cyclic_rotations(rf)):
         rule = _h_rule(rho)
         if rule is None:

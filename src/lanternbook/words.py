@@ -112,10 +112,6 @@ def format_word(word) -> str:
     return " ".join(pieces)
 
 
-# the operation is called plain "format" at the package interface
-format = format_word
-
-
 def free_reduce(terms) -> Word:
     """Normalize a raw term list using free reduction *and* centrality of
     the boundary twists: all ``a, b, c, d`` terms are pulled to the front

@@ -98,10 +98,16 @@ def test_check_rv_json(capsys):
                                "word": "e f", "witness": None}
 
 
-def test_check_rv_rejects_bad_bound(capsys):
-    code, _, err = run_cli(capsys, "check-rv", "--bound", "0", "e")
-    assert code == 1
-    assert "error:" in err
+def test_check_rv_rejects_bad_bound(capsys, monkeypatch):
+    for bound in ("0", "-1"):
+        code, _, err = run_cli(capsys, "check-rv", "--bound", bound, "e")
+        assert code == 1
+        assert "error: bound must be >= 1" in err
+        # the bound is refused before any input is read
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        code, out, err = run_cli(capsys, "check-rv", "--bound", bound)
+        assert code == 1 and out == ""
+        assert "error: bound must be >= 1" in err
 
 
 # -- equal / factorize ----------------------------------------------------

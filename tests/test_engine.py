@@ -1,7 +1,8 @@
 """The arc engine: canonical arcs, the side comparison, the certified
-twist action, the equality oracle, the witness library, and the bounded
-left-witness search (including cross-validation of the pruned search
-against the unpruned reference sweep)."""
+twist action, the equality oracle (cross-validated against the arc-action
+reference), the witness library, and the bounded left-witness search
+(including cross-validation of the pruned search against the unpruned
+reference sweep)."""
 
 import itertools
 import random
@@ -9,7 +10,8 @@ import random
 import pytest
 
 from lanternbook.engine import (IDENTITY_ACTION, LEFT, PORTS_OF_COMPONENT,
-                                RIGHT, Arc, _naive_first_witness, apply_twist,
+                                RIGHT, Arc, _equal_by_action,
+                                _naive_first_witness, apply_twist,
                                 apply_word, arc_from_json, arc_to_json,
                                 canonical, certify_model, equal_in_mcg,
                                 get_model, is_right_veering_upto, make_arc,
@@ -17,7 +19,9 @@ from lanternbook.engine import (IDENTITY_ACTION, LEFT, PORTS_OF_COMPONENT,
 from lanternbook.errors import (MalformedArcError, PreconditionError,
                                 WordSyntaxError)
 from lanternbook.geometry import PORTS
-from lanternbook.words import concat, invert, parse
+from lanternbook.lantern import expand, reduce
+from lanternbook.words import (INTERIOR, concat, exponent_class, invert,
+                               merge_terms, parse)
 
 GENERATORS = "abcdefgh"
 
@@ -170,6 +174,88 @@ def test_conjugation_sanity():
     assert not equal_in_mcg("f e f^-1", "e")
 
 
+def test_equality_cost_does_not_grow_with_exponents():
+    # one matrix product per term whatever the power; the arc action of
+    # these words would not fit in memory
+    assert not equal_in_mcg("e^1000000 f^1000000", "f^1000000 e^1000000")
+    assert equal_in_mcg("a^1000000 g^-1000000 e", "g^-1000000 e a^1000000")
+
+
+# Cross-validation of equal_in_mcg against the arc-action reference.  The
+# reference's data grow exponentially with the interior of a word, so the
+# battery caps the interior letter count (g and h count twice: each is two
+# interior letters after the lantern substitution).
+
+_PAD_HEAD = parse("g e f")
+_PAD_TAIL = parse("a^-1 b^-1 c^-1 d^-1")
+_INTERIOR_CAP = 20
+
+
+def _interior_weight(w):
+    return sum(abs(k) * (2 if x in "gh" else 1) for x, k in w
+               if x in INTERIOR)
+
+
+def _random_word(rng, max_terms=8, max_exp=4):
+    terms = []
+    for _ in range(rng.randint(0, max_terms)):
+        k = rng.choice([k for k in range(-max_exp, max_exp + 1) if k])
+        terms.append((rng.choice(GENERATORS), k))
+    return merge_terms(terms)
+
+
+def _commute_ef(rng, w):
+    """``w`` with one adjacent e^m f^n (inserted when absent), and the
+    same word with that pair commuted to f^n e^m: same exponent class,
+    different mapping class (e and f generate a free group)."""
+    spots = [i for i in range(len(w) - 1)
+             if w[i][0] == "e" and w[i + 1][0] == "f"]
+    if spots:
+        i = rng.choice(spots)
+        head, (e, f), tail = w[:i], w[i:i + 2], w[i + 2:]
+    else:
+        i = rng.randint(0, len(w))
+        head, tail = w[:i], w[i:]
+        e = ("e", rng.choice((-2, -1, 1, 2)))
+        f = ("f", rng.choice((-2, -1, 1, 2)))
+    return concat(head, (e, f), tail), concat(head, (f, e), tail)
+
+
+def _equality_battery(seed, size):
+    """Seeded pairs of four kinds in turn: w against expand(reduce(w)),
+    w against g e f . w . (abcd)^-1, a commuted e^m f^n pair, and two
+    unrelated words; pairs over the interior cap are redrawn."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < size:
+        kind = len(pairs) % 4
+        w = _random_word(rng)
+        if kind == 0:
+            other = expand(reduce(w))
+        elif kind == 1:
+            other = concat(_PAD_HEAD, w, _PAD_TAIL)
+        elif kind == 2:
+            w, other = _commute_ef(rng, w)
+        else:
+            other = _random_word(rng)
+        if max(_interior_weight(w), _interior_weight(other)) <= _INTERIOR_CAP:
+            pairs.append((w, other))
+    return pairs
+
+
+def test_equality_agrees_with_the_arc_reference():
+    equal = unequal_same_class = 0
+    for w1, w2 in _equality_battery(20261018, 2000):
+        answer = equal_in_mcg(w1, w2)
+        assert answer == _equal_by_action(w1, w2), (w1, w2)
+        if answer:
+            equal += 1
+        elif exponent_class(w1) == exponent_class(w2):
+            unequal_same_class += 1
+    # the battery holds equal pairs and unequal pairs of one exponent class
+    assert equal >= 900 and unequal_same_class >= 450
+
+
 # -- witness search ---------------------------------------------------------------
 
 def test_rv_examples():
@@ -183,8 +269,9 @@ def test_rv_examples():
 
 
 def test_rv_bound_is_validated():
-    with pytest.raises(PreconditionError):
-        is_right_veering_upto("e", 0)
+    for bound in (0, -1):
+        with pytest.raises(PreconditionError, match="bound must be >= 1"):
+            is_right_veering_upto("e", bound)
 
 
 def test_rv_report_serialization():

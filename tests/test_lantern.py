@@ -89,6 +89,47 @@ def test_expand_then_reduce_is_identity_on_forms(rf):
     assert reduce(expand(rf)) == rf
 
 
+_RELATORS = [parse(w) for w in ("g e f a^-1 b^-1 c^-1 d^-1",
+                                "h f e a^-1 b^-1 c^-1 d^-1",
+                                "a e a^-1 e^-1", "d h^2 d^-1 h^-2")]
+
+
+def test_reduce_is_a_unique_normal_form():
+    """reduce(w1) == reduce(w2) exactly when the words are equal in the
+    mapping class group, on seeded pairs: a relator (rotated, maybe
+    inverted) spliced into w, two adjacent terms of w swapped, and an
+    unrelated word."""
+    rng = random.Random(20261019)
+
+    def word():
+        return merge_terms((rng.choice("abcdefgh"),
+                            rng.choice((-3, -2, -1, 1, 2, 3)))
+                           for _ in range(rng.randint(0, 8)))
+
+    equal = unequal = 0
+    for i in range(6000):
+        w1 = word()
+        kind = i % 3
+        if kind == 0:
+            rel = rng.choice(_RELATORS)
+            k = rng.randrange(len(rel))
+            rel = rel[k:] + rel[:k]
+            if rng.random() < 0.5:
+                rel = invert(rel)
+            j = rng.randint(0, len(w1))
+            w2 = concat(w1[:j], rel, w1[j:])
+        elif kind == 1 and len(w1) >= 2:
+            j = rng.randrange(len(w1) - 1)
+            w2 = concat(w1[:j], w1[j + 1:j + 2], w1[j:j + 1], w1[j + 2:])
+        else:
+            w2 = word()
+        same = equal_in_mcg(w1, w2)
+        assert (reduce(w1) == reduce(w2)) == same, (w1, w2)
+        equal += same
+        unequal += not same
+    assert equal >= 2000 and unequal >= 1500
+
+
 # -- the ReducedForm invariants ------------------------------------------
 
 def test_interior_zero_exponents_are_rejected():
