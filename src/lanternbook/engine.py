@@ -90,10 +90,20 @@ start port, then crossing word, then end port), then the depth-first
 order (start ports in listed order; at each node the six completions by
 end port in listed order, then children by crossing letter +1, -1, +2,
 -2, +3, -3).  Results are memoized per (word, bound).
+
+**Build.**  The model certifies itself at construction and again when
+the witness library is built, and the certifiers share their images
+rather than recompute them: each polyline is spliced once for both
+twist signs, the order battery takes each arc's image under each word
+once and compares every pair from those images, and a sweep substitutes
+each crossing word once for all of its (start, end) port pairs.
+``Model.build_s`` and ``Model.library_build_s`` record the CPU seconds
+of the two builds.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -266,21 +276,25 @@ def _compose(first, then):
     return ArcAction(phi, w)
 
 
-def _action_from_polygon(polygon, sign):
-    """Action data of the Dehn twist along a curve polygon, read off the
-    spliced basis loops and reference arcs."""
-    vs = [_reduce_concat(
-        geometry.crossing_word(geometry.splice(loop, polygon, sign)))
-        for loop in geometry.BASIS_LOOPS]
-    phi1 = vs[0]
-    phi2 = _reduce_concat(_inv(vs[1]), phi1)
-    phi3 = _reduce_concat(_inv(vs[2]), phi2)
-    w = tuple(_reduce_concat(
-        geometry.crossing_word(
-            geometry.splice(geometry.REFERENCE_ARCS[p][0], polygon, sign)))
-        for p in PORTS)
-    return ArcAction(tuple(_encode(p) for p in (phi1, phi2, phi3)),
-                     tuple(_encode(v) for v in w))
+def _action_from_polygon(polygon):
+    """Action data ``(plus, minus)`` of the right and left Dehn twists
+    along a curve polygon, read off the spliced basis loops and reference
+    arcs (each polyline is spliced once for both signs)."""
+    loops = [geometry.splice(loop, polygon) for loop in geometry.BASIS_LOOPS]
+    arcs = [geometry.splice(geometry.REFERENCE_ARCS[p][0], polygon)
+            for p in PORTS]
+    actions = []
+    for side in (0, 1):
+        vs = [_reduce_concat(geometry.crossing_word(pair[side]))
+              for pair in loops]
+        phi1 = vs[0]
+        phi2 = _reduce_concat(_inv(vs[1]), phi1)
+        phi3 = _reduce_concat(_inv(vs[2]), phi2)
+        w = [_reduce_concat(geometry.crossing_word(pair[side]))
+             for pair in arcs]
+        actions.append(ArcAction(tuple(_encode(p) for p in (phi1, phi2, phi3)),
+                                 tuple(_encode(v) for v in w)))
+    return tuple(actions)
 
 
 # ----------------------------------------------------------------------
@@ -399,6 +413,19 @@ def _require_canonical(arc):
         raise PreconditionError("arc is not canonical: %r" % (arc,))
 
 
+def _crossing_image(action, crossings):
+    """phi(u): the freely reduced image of a crossing word, as bytes."""
+    return _reduce_str(_substitute(_encode(crossings), action.table))
+
+
+def _port_corrected(action, arc, image):
+    """The image of ``arc`` given ``image`` = phi(arc.crossings): the arc
+    from the same ports with crossing word  W_s^{-1} · phi(u) · W_t."""
+    word = _cat_str(_cat_str(_inv_str(action.w[PORT_IDX[arc.start]]), image),
+                    action.w[PORT_IDX[arc.end]])
+    return Arc(arc.start, _decode(word), arc.end)
+
+
 # ----------------------------------------------------------------------
 # side comparison
 # ----------------------------------------------------------------------
@@ -491,11 +518,11 @@ class Model:
     faults (InvariantViolation) rather than return a bad model."""
 
     def __init__(self):
+        start = time.process_time()
         geometry.validate_model_data()
         raw = {}
         for name in ("a", "b", "c", "d", "e", "f", "u", "v"):
-            plus = _action_from_polygon(geometry.CURVE_POLYGONS[name], +1)
-            minus = _action_from_polygon(geometry.CURVE_POLYGONS[name], -1)
+            plus, minus = _action_from_polygon(geometry.CURVE_POLYGONS[name])
             if _compose(plus, minus) != IDENTITY_ACTION \
                     or _compose(minus, plus) != IDENTITY_ACTION:
                 raise InvariantViolation("twist inverse pair failed",
@@ -509,6 +536,8 @@ class Model:
         self._action_cache = {}
         self._rv_cache = {}
         self.library = None
+        self.library_build_s = None
+        self.build_s = time.process_time() - start
 
     # -- construction-time certification --------------------------------
 
@@ -630,11 +659,8 @@ class Model:
         return hit
 
     def apply_action(self, action, arc):
-        img = _reduce_str(_substitute(_encode(arc.crossings), action.table))
-        word = _cat_str(_cat_str(_inv_str(action.w[PORT_IDX[arc.start]]),
-                                 img),
-                        action.w[PORT_IDX[arc.end]])
-        return Arc(arc.start, _decode(word), arc.end)
+        return _port_corrected(action, arc,
+                               _crossing_image(action, arc.crossings))
 
     def apply_word(self, arc, word):
         """Apply a word to one arc, folding term by term (cheaper than
@@ -649,25 +675,24 @@ class Model:
 
     def ensure_library(self):
         if self.library is None:
+            start = time.process_time()
             self._certify_anchors()
             self._certify_order_preservation()
             self.library = _build_library(self)
+            self.library_build_s = time.process_time() - start
         return self.library
 
     def _certify_anchors(self):
-        """Each positive generator moves no small arc left; each negative
-        one moves some small arc left.  Exhaustive up to 2 (3 if needed)
-        crossings; evidence that twist handedness and the side rule agree."""
+        """Each positive generator moves no arc of at most 2 crossings
+        left; each negative one moves some arc of at most 3 crossings left
+        (the length-major sweep meets the short ones first).  Evidence that
+        twist handedness and the side rule agree."""
         for letter in GENERATORS:
-            pos = self.tables[letter][0]
+            pos, neg = self.tables[letter]
             if _canonical_sweep(self, pos, 2) is not None:
                 raise InvariantViolation("positive twist has a left witness",
                                          curve=letter)
-            neg = self.tables[letter][1]
-            found = _canonical_sweep(self, neg, 2)
-            if found is None:
-                found = _canonical_sweep(self, neg, 3)
-            if found is None:
+            if _canonical_sweep(self, neg, 3) is None:
                 raise InvariantViolation("negative twist has no left witness",
                                          curve=letter)
 
@@ -682,13 +707,14 @@ class Model:
         crossings = [(), (1,), (-1,), (2,), (-2, 3), (2, -3, 1)]
         for start in ("P1", "P2b", "P4"):
             arcs = [Arc(start, u, t) for u in crossings for t in PORTS]
+            # images[k][i]: the image of arcs[i] under actions[k]
+            images = [[self.apply_action(action, arc) for arc in arcs]
+                      for action in actions]
             for i, alpha in enumerate(arcs):
-                for beta in arcs[i + 1:]:
+                for j, beta in enumerate(arcs[i + 1:], start=i + 1):
                     base = side_at_start(alpha, beta)
-                    for action in actions:
-                        moved = side_at_start(
-                            self.apply_action(action, alpha),
-                            self.apply_action(action, beta))
+                    for image in images:
+                        moved = side_at_start(image[i], image[j])
                         if moved != base:
                             raise InvariantViolation(
                                 "image does not preserve the side order",
@@ -780,8 +806,17 @@ def _canonical_sweep(model, action, depth, start_ports=None, predicate=None):
     enumeration: exhaustive and unpruned."""
     ports = PORTS if start_ports is None else start_ports
     if predicate is None:
+        # phi(u) does not depend on the ports, so each crossing word is
+        # substituted once and shared by all its (start, end) pairs
+        images = {}
+
         def predicate(arc):
-            return side_at_start(arc, model.apply_action(action, arc)) == LEFT
+            image = images.get(arc.crossings)
+            if image is None:
+                image = images[arc.crossings] = _crossing_image(
+                    action, arc.crossings)
+            return side_at_start(
+                arc, _port_corrected(action, arc, image)) == LEFT
     for n in range(depth + 1):
         for s in ports:
             for u in _iter_reduced_words(n):
@@ -1257,4 +1292,6 @@ def certify_model():
         "library": [entry.name for entry in library],
         "lantern": (_equal_by_action("g e f", "a b c d"),
                     _equal_by_action("h f e", "a b c d")),
+        "build_s": {"model": model.build_s,
+                    "library": model.library_build_s},
     }

@@ -31,7 +31,8 @@ The module provides:
   representatives of the eight twist curves (two candidates ``u``/``v``
   for the {C1,C3}-separating pair, told apart later by the lantern
   relations);
-* ``splice``: the Dehn-twist action on a polyline.  At every transverse
+* ``splice``: the right and left Dehn-twist images of a polyline, from
+  one pass over its crossings with the curve.  At every transverse
   intersection with the twist curve one full copy of the curve polygon is
   inserted, traversed in the direction that makes the determinant
   det(inserted tangent, object tangent) positive for a right twist and
@@ -183,7 +184,17 @@ def segment_cross(p, q, r, s):
     raises on any borderline configuration (shared endpoint, endpoint on
     the other segment, collinear overlap) -- the model data must be generic
     and a borderline hit means it is not.
+
+    Segments whose bounding boxes are strictly disjoint share no point, so
+    they are rejected by comparisons alone; boxes that merely touch go on
+    to the full test.
     """
+    (px, py), (qx, qy), (rx, ry), (sx, sy) = p, q, r, s
+    if (px < rx and px < sx and qx < rx and qx < sx) \
+            or (rx < px and rx < qx and sx < px and sx < qx) \
+            or (py < ry and py < sy and qy < ry and qy < sy) \
+            or (ry < py and ry < qy and sy < py and sy < qy):
+        return None
     d1 = _sub(q, p)
     d2 = _sub(s, r)
     o1 = _det(*d2, *_sub(p, r))
@@ -278,18 +289,21 @@ def crossing_word(points, closed=False):
 # the splice: Dehn twist acting on a polyline
 # ----------------------------------------------------------------------
 
-def splice(points, polygon, sign):
-    """Image of the polyline under the Dehn twist along ``polygon``.
+def splice(points, polygon):
+    """Images ``(right, left)`` of the polyline under the right and the
+    left Dehn twist along ``polygon``.
 
-    ``sign`` +1 is the right twist, -1 the left twist.  At each transverse
-    crossing z of the polyline with the polygon, one full copy of the
-    polygon (based at z) is inserted, traversed in the direction making
-    det(inserted tangent, object tangent) have the sign of the twist.
-    Endpoints never move.  The output is exact and generic (asserted).
+    At each transverse crossing z of the polyline with the polygon, one
+    full copy of the polygon (based at z) is inserted, traversed in the
+    direction making det(inserted tangent, object tangent) positive for the
+    right twist and negative for the left twist.  The crossings do not
+    depend on the twist's sign, so they are found (and asserted generic)
+    once for both images.  Endpoints never move.  The output is exact.
     """
     n = len(polygon)
     edges = [(polygon[i], polygon[(i + 1) % n]) for i in range(n)]
-    out = [points[0]]
+    right = [points[0]]
+    left = [points[0]]
     for j in range(len(points) - 1):
         p, q = points[j], points[j + 1]
         hits = []
@@ -312,17 +326,18 @@ def splice(points, polygon, sign):
             orient = _det(*d_cur, *d_obj)
             if orient == 0:
                 raise InvariantViolation("tangential splice")
-            forward = (orient > 0) == (sign > 0)
-            loop = [z]
-            if forward:
-                order = [polygon[(ei + 1 + k) % n] for k in range(n)]
+            forward = [z] + [polygon[(ei + 1 + k) % n] for k in range(n)] \
+                + [z]
+            backward = [z] + [polygon[(ei - k) % n] for k in range(n)] + [z]
+            if orient > 0:
+                right.extend(forward)
+                left.extend(backward)
             else:
-                order = [polygon[(ei - k) % n] for k in range(n)]
-            loop.extend(order)
-            loop.append(z)
-            out.extend(loop)
-        out.append(q)
-    return out
+                right.extend(backward)
+                left.extend(forward)
+        right.append(q)
+        left.append(q)
+    return right, left
 
 
 # ----------------------------------------------------------------------

@@ -32,9 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import WordSyntaxError
+from .errors import PreconditionError, WordSyntaxError
 
 GENERATORS = "abcdefgh"
+_GENERATOR_SET = frozenset(GENERATORS)
 BOUNDARY = "abcd"  # central: parallel to the four boundary circles
 INTERIOR = "efgh"
 
@@ -49,12 +50,17 @@ Word = tuple[Term, ...]
 def merge_terms(terms) -> Word:
     """Freely reduce a raw term list: drop zero exponents and merge runs of
     equal letters to fixpoint (so ``e e^-1`` cancels entirely).  This is the
-    free-group reduction; it does not use any surface relation."""
+    free-group reduction; it does not use any surface relation.
+
+    Raises :class:`PreconditionError` for a letter that is not one of the
+    eight generators and for an exponent that is not an ``int``."""
     out: list[list] = []
     for letter, exp in terms:
-        if letter not in GENERATORS:
-            raise ValueError("unknown generator %r" % (letter,))
-        exp = int(exp)
+        if letter not in _GENERATOR_SET:
+            raise PreconditionError("unknown generator %r" % (letter,))
+        if type(exp) is not int:
+            raise PreconditionError("exponent of %r is not an int: %r"
+                                    % (letter, exp))
         if exp == 0:
             continue
         if out and out[-1][0] == letter:

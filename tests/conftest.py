@@ -1,6 +1,7 @@
 """Shared test configuration: a deterministic hypothesis profile and a
-once-per-session warm-up of the arc engine's certified tables, so the
-first test that touches the engine does not pay (or time) the build."""
+once-per-session warm-up of the arc engine's certified tables and witness
+library, so the first test that touches the engine does not pay (or time)
+either build."""
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -19,4 +20,4 @@ settings.load_profile("suite")
 def _warm_engine():
     from lanternbook.engine import get_model
 
-    get_model()
+    get_model().ensure_library()

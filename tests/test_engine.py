@@ -4,21 +4,24 @@ reference), the witness library, and the bounded left-witness search
 (including cross-validation of the pruned search against the unpruned
 reference sweep)."""
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
+from lanternbook import engine
 from lanternbook.engine import (IDENTITY_ACTION, LEFT, PORTS_OF_COMPONENT,
-                                RIGHT, Arc, _equal_by_action,
+                                RIGHT, Arc, Model, _action_from_polygon,
+                                _canonical_sweep, _equal_by_action,
                                 _naive_first_witness, apply_twist,
                                 apply_word, arc_from_json, arc_to_json,
                                 canonical, certify_model, equal_in_mcg,
                                 get_model, is_right_veering_upto, make_arc,
                                 reverse, side_at_start, witness_library)
-from lanternbook.errors import (MalformedArcError, PreconditionError,
-                                WordSyntaxError)
-from lanternbook.geometry import PORTS
+from lanternbook.errors import (InvariantViolation, MalformedArcError,
+                                PreconditionError, WordSyntaxError)
+from lanternbook.geometry import CURVE_POLYGONS, PORTS
 from lanternbook.lantern import expand, reduce
 from lanternbook.words import (INTERIOR, concat, exponent_class, invert,
                                merge_terms, parse)
@@ -45,6 +48,76 @@ def test_certify_model_reports_the_batteries():
     assert sorted(info["tables"]) == list(GENERATORS)
     assert info["lantern"] == (True, True)
     assert len(info["library"]) == 9
+
+
+def test_build_timings_are_recorded():
+    model = get_model()
+    model.ensure_library()
+    for seconds in (model.build_s, model.library_build_s):
+        assert isinstance(seconds, float) and seconds > 0
+    assert certify_model()["build_s"] == {"model": model.build_s,
+                                          "library": model.library_build_s}
+
+
+# sha256 over everything the certified build outputs: both signs of every
+# twist table, the naming of the g and h curves, the pinned slopes and the
+# nine library arcs
+_BUILD_DIGEST = \
+    "f8fe97e16a34e9a2ec5798f68bb4447aa43d98defc4d2a8ef066b9cf25b48a61"
+
+
+def test_build_output_is_unchanged():
+    model = get_model()
+    library = model.ensure_library()
+    digest = hashlib.sha256()
+    for letter in sorted(model.tables):
+        for i, action in enumerate(model.tables[letter]):
+            digest.update(("%s%d" % (letter, i)).encode())
+            for part in action.phi + action.w:
+                digest.update(part + b"|")
+    g, h = ([name for name in "uv"
+             if _action_from_polygon(CURVE_POLYGONS[name])[0]
+             == model.tables[letter][0]] for letter in "gh")
+    digest.update(("g=%s h=%s" % (g, h)).encode())
+    digest.update(repr(sorted(model.slopes.items())).encode())
+    for entry in library:
+        digest.update(repr((entry.name, entry.arc)).encode())
+    assert digest.hexdigest() == _BUILD_DIGEST
+
+
+def test_order_battery_compares_every_pair_under_every_action(monkeypatch):
+    # 3 start ports x 36 arcs, 6 words: each image is computed once, and
+    # each of the 3 x C(36, 2) = 1,890 pairs is compared before and after
+    # each word
+    model = get_model()
+    calls = {"apply": 0, "side": 0}
+    true_apply, true_side = Model.apply_action, engine.side_at_start
+
+    def counting_apply(self, action, arc):
+        calls["apply"] += 1
+        return true_apply(self, action, arc)
+
+    def counting_side(alpha, beta):
+        calls["side"] += 1
+        return true_side(alpha, beta)
+
+    monkeypatch.setattr(Model, "apply_action", counting_apply)
+    monkeypatch.setattr(engine, "side_at_start", counting_side)
+    model._certify_order_preservation()
+    assert calls == {"apply": 3 * 36 * 6, "side": 1890 * 7}
+
+
+def test_order_battery_catches_a_wrong_image(monkeypatch):
+    model = get_model()
+    true_apply = Model.apply_action
+    victim, stand_in = Arc("P2b", (1,), "P3a"), Arc("P2b", (1,), "P4")
+
+    def wrong_apply(self, action, arc):
+        return true_apply(self, action, stand_in if arc == victim else arc)
+
+    monkeypatch.setattr(Model, "apply_action", wrong_apply)
+    with pytest.raises(InvariantViolation, match="side order"):
+        model._certify_order_preservation()
 
 
 # -- arcs -------------------------------------------------------------------
@@ -319,6 +392,42 @@ def test_pruned_search_matches_the_reference_sweep():
             if rep.witness is not None:
                 img = apply_word(rep.witness, text)
                 assert side_at_start(rep.witness, img) == LEFT
+
+
+def _first_left_witness(model, action, depth, ports):
+    """Reference for the sweep: every arc in length-major, start port,
+    crossing word, end port order, each image computed on its own."""
+    for n in range(depth + 1):
+        for s in ports:
+            for u in itertools.product((1, -1, 2, -2, 3, -3), repeat=n):
+                if any(u[i + 1] == -u[i] for i in range(n - 1)):
+                    continue
+                for t in PORTS:
+                    arc = Arc(s, u, t)
+                    image = model.apply_action(action, arc)
+                    if side_at_start(arc, image) == LEFT:
+                        return arc
+    return None
+
+
+def test_sweep_matches_the_per_arc_predicate():
+    model = get_model()
+    rng = random.Random(20)
+    found = 0
+    for trial in range(100):
+        terms = [(rng.choice(INTERIOR), rng.choice((1, -1)))
+                 for _ in range(rng.randint(0, 4))]
+        if rng.random() < 0.5:
+            terms.insert(rng.randint(0, len(terms)),
+                         (rng.choice("abcd"), rng.choice((1, -1, 2))))
+        action = model.word_action(merge_terms(terms))
+        ports = None if trial % 2 else ("P3b", "P1", "P2a")
+        arc = _canonical_sweep(model, action, 2, start_ports=ports)
+        assert arc == _first_left_witness(
+            model, action, 2, PORTS if ports is None else ports), terms
+        found += arc is not None
+    # both outcomes are exercised
+    assert 20 <= found <= 90
 
 
 def test_conjugation_consistency_of_no_witness_answers():

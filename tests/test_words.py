@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lanternbook.errors import WordSyntaxError
+from lanternbook.engine import equal_in_mcg
+from lanternbook.errors import PreconditionError, WordSyntaxError
+from lanternbook.lantern import reduce
 from lanternbook.words import (BOUNDARY, GENERATORS, concat, exponent_class,
                                format_word, free_reduce, invert, merge_terms,
                                mirror_word, parse, power, word_length)
@@ -49,6 +51,30 @@ def test_parse_rejects_bad_input():
         with pytest.raises(WordSyntaxError) as err:
             parse(text)
         assert err.value.position == pos
+
+
+def test_merge_terms_rejects_unknown_letters():
+    for letter in ("x", "ab", "", "E", 1, None):
+        with pytest.raises(PreconditionError, match="unknown generator"):
+            merge_terms([("e", 1), (letter, 1)])
+
+
+def test_merge_terms_rejects_non_int_exponents():
+    for exp in (1.5, 2.0, "1", None, True):
+        with pytest.raises(PreconditionError, match="not an int"):
+            merge_terms([("e", exp)])
+    assert merge_terms([("e", 2), ("e", -2), ("f", 0)]) == ()
+
+
+def test_term_inputs_are_checked_through_the_public_operations():
+    with pytest.raises(PreconditionError):
+        equal_in_mcg((("e", 1.5),), (("e", 1),))
+    with pytest.raises(PreconditionError):
+        equal_in_mcg((("x", 1),), ())
+    with pytest.raises(PreconditionError):
+        reduce((("e", 2.7),))
+    with pytest.raises(PreconditionError):
+        reduce((("x", 1),))
 
 
 @given(words)
