@@ -4,7 +4,8 @@ The supported compatible contact structure of an open book with
 monodromy  a^{r1} b^{r2} c^{r3} d^{r4} e^{m_1} f^{n_1} ... e^{m_s} f^{n_s}
 is decided, where the exponents allow, by arithmetic rules:
 
-Holomorphically fillable (each gives a positive factorization):
+Holomorphically fillable (each gives a positive factorization; the
+rules are evaluated by ``lantern._h_rule``):
   H1  s = 1, max{m1, n1} >= 0, min{r_k} >= max{-m1, -n1, 0}
   H2  s = 1, m1 < 0, n1 < 0, max{m1, n1} = -1, min{r_k} >= -m1 - n1 - 1
   H3  s = 1, m1 < 0, n1 < 0, max{m1, n1} < -1, min{r_k} >= -m1 - n1 - 2
@@ -39,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvariantViolation
-from .lantern import ReducedForm, cyclic_rotations, mirror_ef
+from .lantern import ReducedForm, _h_rule, cyclic_rotations, mirror_ef
 
 FILLABLE = "HolomorphicallyFillable"
 OVERTWISTED = "Overtwisted"
@@ -102,28 +103,12 @@ class Classification:
         return doc
 
 
-def _h_tags(rf: ReducedForm):
-    tags = []
-    rmin = min(rf.r)
-    blocks = rf.blocks if rf.blocks else ((0, 0),)
-    if len(blocks) == 1:
-        m1, n1 = blocks[0]
-        if max(m1, n1) >= 0 and rmin >= max(-m1, -n1, 0):
-            tags.append("H1")
-        if m1 < 0 and n1 < 0 and max(m1, n1) == -1 and rmin >= -m1 - n1 - 1:
-            tags.append("H2")
-        if m1 < 0 and n1 < 0 and max(m1, n1) < -1 and rmin >= -m1 - n1 - 2:
-            tags.append("H3")
-    else:
-        cost = sum(max(-m, 0) for m, _ in blocks) \
-            + sum(max(-n, 0) for _, n in blocks)
-        if rmin >= cost:
-            tags.append("H4")
-    return tags
-
-
-def _ot_r_tags(rf: ReducedForm, ot1_broad: bool):
-    tags = []
+def _tags(rf: ReducedForm, ot1_broad: bool):
+    """Every tag whose rule ``rf`` satisfies literally.  H1-H3 are
+    mutually exclusive and H4 needs more blocks, so the fillable tags are
+    the single rule :func:`lantern._h_rule` finds, if any."""
+    rule = _h_rule(rf)
+    tags = [rule] if rule else []
     shape = match_ot_shape(rf)
     r = rf.r
     if shape is None:
@@ -156,7 +141,7 @@ def classify_rules(rf: ReducedForm, ot1_broad: bool = False) -> Classification:
     """Evaluate every rule literally on one reduced form (no rotations,
     no mirror) and return all matching tags with the precedence verdict
     Overtwisted > Fillable > RightVeering > Unknown."""
-    tags = _h_tags(rf) + _ot_r_tags(rf, ot1_broad)
+    tags = _tags(rf, ot1_broad)
     tags = tuple(t for t in _RULE_ORDER if t in tags)
     return Classification(_verdict(tags), tags, 0, False, ot1_broad)
 
@@ -183,8 +168,7 @@ def classify(rf: ReducedForm, ot1_broad: bool = False) -> Classification:
     for k, rho in enumerate(cyclic_rotations(rf)):
         for mirror in (False, True):
             candidate = mirror_ef(rho) if mirror else rho
-            tags = _h_tags(candidate) + _ot_r_tags(candidate, ot1_broad)
-            for t in tags:
+            for t in _tags(candidate, ot1_broad):
                 if t not in merged:
                     merged.append(t)
                     decisive.setdefault(t, (k, mirror))

@@ -1256,7 +1256,10 @@ def _rv_search_uncached(model, terms, bound):
 
 
 def validate_bound(bound):
-    """Reject a witness-search bound below one crossing."""
+    """Reject a witness-search bound that is not an ``int`` or is below
+    one crossing."""
+    if type(bound) is not int:
+        raise PreconditionError("bound must be an int, got %r" % (bound,))
     if bound < 1:
         raise PreconditionError("bound must be >= 1, got %d" % bound)
 

@@ -22,7 +22,11 @@ a tested property (``reduce(w1) == reduce(w2)`` iff ``equal_in_mcg``).
 Conjugate monodromies carry the same contact-geometric labels, so the
 classifier consumes every cyclic rotation of the interior letter
 sequence (:func:`cyclic_rotations`; the boundary part is central and
-stays put) and the e/f relabeling symmetry (:func:`mirror_ef`).
+stays put) and the e/f relabeling symmetry (:func:`mirror_ef`).  Both
+work on the interior's alternating (letter, exponent) runs, the e/f
+terms of :func:`expand`, and need no free reduction: the conjugating
+prefix is peeled run by run, each rotation splits at most one run, and
+the mirror only swaps letters, which keeps the runs alternating.
 
 :func:`positive_factorization` implements the constructive fillability
 argument: negative interior powers are eliminated through the lantern
@@ -41,7 +45,8 @@ import json
 from .engine import equal_in_mcg
 from .errors import InvariantViolation, PreconditionError
 from .words import (
-    BOUNDARY, Word, concat, format_word, free_reduce, invert, parse, power,
+    BOUNDARY, Word, concat, format_word, free_reduce, invert, merge_terms,
+    parse, power,
 )
 
 _G_POS = parse("a b c d f^-1 e^-1")
@@ -56,18 +61,26 @@ class ReducedForm:
     boundary-twist exponents (of a, b, c, d), ``blocks`` the alternating
     interior part as pairs (m_i, n_i) meaning e^{m_i} f^{n_i}.  Interior
     exponents are nonzero except possibly the leading m_1 and trailing
-    n_s; ``blocks = ()`` encodes a pure boundary-twist word."""
+    n_s; ``blocks = ()`` encodes a pure boundary-twist word.  Every
+    exponent must be an ``int`` (``bool`` is refused, nothing is
+    coerced)."""
 
     r: tuple
     blocks: tuple
 
     def __post_init__(self):
-        r = tuple(int(x) for x in self.r)
-        blocks = tuple((int(m), int(n)) for m, n in self.blocks)
+        r = tuple(self.r)
+        blocks = tuple((m, n) for m, n in self.blocks)
         if len(r) != 4:
             raise PreconditionError(
                 "r must have four components, got %r" % (self.r,))
+        for x in r:
+            if type(x) is not int:
+                raise PreconditionError("exponent is not an int: %r" % (x,))
         for i, (m, n) in enumerate(blocks):
+            if type(m) is not int or type(n) is not int:
+                raise PreconditionError("exponent is not an int: %r"
+                                        % ((m, n),))
             if m == 0 and i > 0:
                 raise PreconditionError(
                     "zero e-exponent inside blocks %r (index %d)"
@@ -116,32 +129,26 @@ def substitute_gh(w) -> Word:
     freely reduced and has the same exponent class."""
     terms = parse(w) if isinstance(w, str) else tuple(w)
     out = []
-    for letter, exp in terms:
-        if letter == "g":
-            out.extend(power(_G_POS if exp > 0 else _G_NEG, abs(exp)))
-        elif letter == "h":
-            out.extend(power(_H_POS if exp > 0 else _H_NEG, abs(exp)))
-        else:
-            out.append((letter, exp))
+    try:
+        for letter, exp in terms:
+            if letter == "g":
+                out.extend(power(_G_POS if exp > 0 else _G_NEG, abs(exp)))
+            elif letter == "h":
+                out.extend(power(_H_POS if exp > 0 else _H_NEG, abs(exp)))
+            else:
+                out.append((letter, exp))
+    except (TypeError, ValueError):
+        merge_terms(terms)  # raises the PreconditionError naming the term
+        raise
     return free_reduce(out)
 
 
 def _pack(interior) -> tuple:
-    """Pack an alternating e/f term sequence (nonzero exponents, no two
+    """Pack an alternating e/f term list (nonzero exponents, no two
     adjacent equal letters) into (m_i, n_i) block pairs."""
-    blocks = []
-    cur_m = None
-    for letter, exp in interior:
-        if letter == "e":
-            if cur_m is not None:
-                blocks.append((cur_m, 0))
-            cur_m = exp
-        else:
-            blocks.append((0 if cur_m is None else cur_m, exp))
-            cur_m = None
-    if cur_m is not None:
-        blocks.append((cur_m, 0))
-    return tuple(blocks)
+    exps = [0] if interior and interior[0][0] == "f" else []
+    exps += [exp for _, exp in interior] + [0]   # n = 0 after a last e-run
+    return tuple(zip(exps[::2], exps[1::2]))
 
 
 def reduce(w) -> ReducedForm:
@@ -162,76 +169,85 @@ def reduce(w) -> ReducedForm:
                        _pack(interior))
 
 
+def _runs(rf: ReducedForm) -> list:
+    """The interior part as alternating (letter, exponent) runs with
+    nonzero exponents: the e/f terms of :func:`expand`."""
+    return [t for m, n in rf.blocks for t in (("e", m), ("f", n)) if t[1]]
+
+
 def expand(rf: ReducedForm) -> Word:
     """The word a^{r1} b^{r2} c^{r3} d^{r4} e^{m_1} f^{n_1} ... named by
     the reduced form (zero exponents omitted)."""
-    terms = [(letter, exp) for letter, exp in zip(BOUNDARY, rf.r) if exp]
-    for m, n in rf.blocks:
-        if m:
-            terms.append(("e", m))
-        if n:
-            terms.append(("f", n))
-    return tuple(terms)
+    boundary = [(letter, exp) for letter, exp in zip(BOUNDARY, rf.r) if exp]
+    return tuple(boundary + _runs(rf))
 
 
-def _interior_letters(rf: ReducedForm):
-    """The interior part as a sequence of single signed letters."""
-    letters = []
-    for m, n in rf.blocks:
-        letters.extend([("e", 1 if m > 0 else -1)] * abs(m))
-        letters.extend([("f", 1 if n > 0 else -1)] * abs(n))
-    return letters
-
-
-def _peel(letters):
-    """Split a freely reduced letter sequence as  p . core . p^-1  with
-    the core cyclically reduced (its first letter is not the inverse of
-    its last), peeling matching end pairs.  The core of a nonempty
-    sequence is nonempty."""
-    lo, hi = 0, len(letters)
-    while hi - lo >= 2:
-        (x, sx), (y, sy) = letters[lo], letters[hi - 1]
-        if x == y and sx == -sy:
-            lo, hi = lo + 1, hi - 1
-        else:
-            break
-    return letters[:lo], letters[lo:hi]
+def _peel(rf: ReducedForm):
+    """Split the interior runs as  p . core . p^-1  with the core
+    cyclically reduced (its first letter is not the inverse of its last)
+    and return the run lists (p, core).  End runs x^a ... x^b with a, b
+    of opposite signs each give up min(|a|, |b|) letters to p; peeling
+    goes on only when both vanish.  The core of a nonempty interior is
+    nonempty, and equal end letters of a core have equal signs."""
+    runs = _runs(rf)
+    prefix = []
+    lo, hi = 0, len(runs) - 1
+    while lo < hi and runs[lo][0] == runs[hi][0] \
+            and (runs[lo][1] > 0) != (runs[hi][1] > 0):
+        (x, a), (_, b) = runs[lo], runs[hi]
+        t = a if abs(a) <= abs(b) else -b   # min(|a|, |b|) letters of x^a
+        prefix.append((x, t))
+        runs[lo], runs[hi] = (x, a - t), (x, b + t)
+        # a run that survives differs in letter from the other new end
+        lo, hi = lo + (a == t), hi - (b == -t)
+    return prefix, runs[lo:hi + 1]
 
 
 def cyclic_rotations(rf: ReducedForm):
     """All reduced forms obtained by cyclically rotating the interior
-    e/f letter sequence (the central boundary part stays put), each
-    re-merged and re-packed.
+    e/f letter sequence (the central boundary part stays put).
 
-    The sequence is first reduced cyclically -- a maximal conjugating
-    prefix p with letters = p.core.p^-1 is peeled off -- and the
-    rotations are those of the core.  Rotations of a cyclically reduced
-    sequence stay freely and cyclically reduced, so every member of the
-    returned list has exactly this list as its own rotations; the list
-    is a conjugacy-class invariant, which is what makes merged
-    classification consistent across conjugates.  Index k rotates by k
-    core letters.  A pure boundary word has itself as the only
-    rotation."""
-    letters = _interior_letters(rf)
-    if not letters:
+    The rotations are those of the cyclically reduced core left by
+    :func:`_peel`; index k rotates by k core letters, so a core of L
+    letters has L rotations.  Equal end runs of the core merge once into
+    one cyclic run, and rotation k splits at most one run, whose parts
+    land at the two ends.  Rotations of a cyclically reduced sequence
+    stay freely and cyclically reduced, so every member of the returned
+    list has exactly this list as its own rotations; the list is a
+    conjugacy-class invariant, which is what makes merged classification
+    consistent across conjugates.  A pure boundary word has itself as
+    the only rotation."""
+    _, core = _peel(rf)
+    if not core:
         return [rf]
-    _, core = _peel(letters)
+    if len(core) == 1:
+        return [ReducedForm(rf.r, _pack(core))] * abs(core[0][1])
+    head = 0
+    if core[0][0] == core[-1][0]:
+        head = abs(core[-1][1])
+        core = [(core[0][0], core[0][1] + core[-1][1])] + core[1:-1]
     out = []
-    for k in range(len(core)):
-        rotated = free_reduce(core[k:] + core[:k])
-        out.append(ReducedForm(rf.r, _pack(rotated)))
-    return out
+    for j, (x, a) in enumerate(core):
+        rest = core[j + 1:] + core[:j]
+        for o in range(0, a, 1 if a > 0 else -1):   # o letters into run j
+            split = [(x, a - o)] + rest + ([(x, o)] if o else [])
+            out.append(ReducedForm(rf.r, _pack(split)))
+    # out starts where the merged run starts, head letters before the core
+    return out[head:] + out[:head]
 
 
 def rotation_conjugator(rf: ReducedForm, k: int) -> Word:
     """The word u with  u^-1 . expand(rf) . u  equal in the mapping
     class group to the expansion of rotation k: the peeled conjugating
     prefix followed by the first k core letters."""
-    letters = _interior_letters(rf)
-    if not letters:
-        return ()
-    prefix, core = _peel(letters)
-    return free_reduce(prefix + core[:k % len(core)])
+    prefix, core = _peel(rf)
+    k %= sum(abs(exp) for _, exp in core) or 1
+    head = []
+    for letter, exp in core:    # the zero tails are dropped by concat
+        take = min(abs(exp), k)
+        head.append((letter, take if exp > 0 else -take))
+        k -= take
+    return concat(prefix, head)
 
 
 def canonical_form(rf: ReducedForm) -> ReducedForm:
@@ -239,19 +255,19 @@ def canonical_form(rf: ReducedForm) -> ReducedForm:
     rotation class.  Because the rotation list is shared by the whole
     conjugacy class of the interior word, this is a deterministic
     census key for it."""
-    best = min(cyclic_rotations(rf),
+    return min(cyclic_rotations(rf),
                key=lambda rho: tuple(x for b in rho.blocks for x in b))
-    return best
 
 
 def mirror_ef(rf: ReducedForm) -> ReducedForm:
     """The reduced form of the image under the half-turn symmetry that
     exchanges e with f (and relabels the boundary a <-> c, fixing b and
-    d, hence r -> (r3, r2, r1, r4))."""
+    d, hence r -> (r3, r2, r1, r4)).  Swapping the letters of the runs
+    keeps them alternating, so they are repacked without reduction."""
     r1, r2, r3, r4 = rf.r
     swapped = [("f" if letter == "e" else "e", exp)
-               for letter, exp in _interior_letters(rf)]
-    return ReducedForm((r3, r2, r1, r4), _pack(free_reduce(swapped)))
+               for letter, exp in _runs(rf)]
+    return ReducedForm((r3, r2, r1, r4), _pack(swapped))
 
 
 # ----------------------------------------------------------------------
@@ -287,8 +303,10 @@ _GE = parse("g e")    # replaces f^-1
 
 
 def _h_rule(rf: ReducedForm):
-    """The first fillability rule the exponents of ``rf`` satisfy, or
-    None.  Rules in order: H1-H3 for one block, H4 for more."""
+    """The fillability rule the exponents of ``rf`` satisfy, or None.
+    H1-H3 apply to one block and are mutually exclusive, H4 to more, so
+    at most one holds.  This is the package's one statement of the
+    rules; :mod:`lanternbook.classify` tags with it."""
     rmin = min(rf.r)
     blocks = rf.blocks if rf.blocks else ((0, 0),)
     if len(blocks) == 1:
@@ -300,9 +318,7 @@ def _h_rule(rf: ReducedForm):
         if m1 < 0 and n1 < 0 and max(m1, n1) < -1 and rmin >= -m1 - n1 - 2:
             return "H3"
         return None
-    cost = sum(max(-m, 0) for m, _ in blocks) \
-        + sum(max(-n, 0) for _, n in blocks)
-    if rmin >= cost:
+    if rmin >= -sum(x for block in blocks for x in block if x < 0):
         return "H4"
     return None
 
@@ -312,8 +328,7 @@ def _factor_words(rf: ReducedForm, rule: str):
     ``rule``, by the constructive substitutions (see module docstring)."""
     blocks = rf.blocks if rf.blocks else ((0, 0),)
     if rule in ("H1", "H4"):
-        spent = sum(max(-m, 0) for m, _ in blocks) \
-            + sum(max(-n, 0) for _, n in blocks)
+        spent = -sum(x for block in blocks for x in block if x < 0)
         out = list(_boundary_word(tuple(x - spent for x in rf.r)))
         for m, n in blocks:
             out.extend(power(_HF, -m) if m < 0 else ((("e", m),) if m else ()))

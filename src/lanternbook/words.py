@@ -52,23 +52,31 @@ def merge_terms(terms) -> Word:
     equal letters to fixpoint (so ``e e^-1`` cancels entirely).  This is the
     free-group reduction; it does not use any surface relation.
 
-    Raises :class:`PreconditionError` for a letter that is not one of the
+    Raises :class:`PreconditionError` for a term that is not a
+    ``(letter, exponent)`` pair, for a letter that is not one of the
     eight generators and for an exponent that is not an ``int``."""
     out: list[list] = []
-    for letter, exp in terms:
-        if letter not in _GENERATOR_SET:
-            raise PreconditionError("unknown generator %r" % (letter,))
-        if type(exp) is not int:
-            raise PreconditionError("exponent of %r is not an int: %r"
-                                    % (letter, exp))
-        if exp == 0:
-            continue
-        if out and out[-1][0] == letter:
-            out[-1][1] += exp
-            if out[-1][1] == 0:
-                out.pop()
-        else:
-            out.append([letter, exp])
+    try:
+        for letter, exp in terms:
+            if letter not in _GENERATOR_SET:
+                raise PreconditionError("unknown generator %r" % (letter,))
+            if type(exp) is not int:
+                raise PreconditionError("exponent of %r is not an int: %r"
+                                        % (letter, exp))
+            if exp == 0:
+                continue
+            if out and out[-1][0] == letter:
+                out[-1][1] += exp
+                if out[-1][1] == 0:
+                    out.pop()
+            else:
+                out.append([letter, exp])
+    except PreconditionError:
+        raise
+    except (TypeError, ValueError) as exc:
+        # unpacking a term that is not a pair, or hashing an odd letter
+        raise PreconditionError("not a list of (letter, exponent) terms: %s"
+                                % exc) from None
     return tuple((l, e) for l, e in out)
 
 

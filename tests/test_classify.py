@@ -148,6 +148,37 @@ def test_disjointness_fuzz():
         assert not (has_h and has_ot), c
 
 
+def test_at_most_one_fillable_rule_holds():
+    # classify tags with the single rule lantern._h_rule returns; that
+    # loses no tag because H1-H3 exclude each other and H4 needs s > 1
+    def every_h_tag(rf):
+        rmin = min(rf.r)
+        blocks = rf.blocks if rf.blocks else ((0, 0),)
+        (m1, n1), s = blocks[0], len(blocks)
+        tags = []
+        if s == 1 and max(m1, n1) >= 0 and rmin >= max(-m1, -n1, 0):
+            tags.append("H1")
+        if s == 1 and m1 < 0 and n1 < 0 and max(m1, n1) == -1 \
+                and rmin >= -m1 - n1 - 1:
+            tags.append("H2")
+        if s == 1 and m1 < 0 and n1 < 0 and max(m1, n1) < -1 \
+                and rmin >= -m1 - n1 - 2:
+            tags.append("H3")
+        if s > 1 and rmin >= sum(max(-x, 0) for b in blocks for x in b):
+            tags.append("H4")
+        return tags
+
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(20000):
+        rf = _random_form(rng, rmax=8, emax=4, smax=3)
+        tags = every_h_tag(rf)
+        assert len(tags) <= 1, (rf, tags)
+        assert [t for t in classify_rules(rf).rules if t[0] == "H"] == tags
+        seen.update(tags)
+    assert seen == {"H1", "H2", "H3", "H4"}
+
+
 def test_h1_is_monotone_in_the_boundary_exponents():
     rng = random.Random(5)
     seen = 0
@@ -167,11 +198,29 @@ def test_conflicting_verdicts_raise_an_invariant_fault(monkeypatch):
     # that the merge refuses to answer rather than pick a side
     import sys
     mod = sys.modules["lanternbook.classify"]
-    real = mod._h_tags
-    monkeypatch.setattr(mod, "_h_tags",
-                        lambda rf: list(real(rf)) + ["H1"])
+    monkeypatch.setattr(mod, "_h_rule", lambda rf: "H1")
     with pytest.raises(InvariantViolation):
         classify(ReducedForm((1, 1, 1, 1), ((-2, -1),)))
+
+
+def test_classify_looks_up_cyclic_rotations_once_per_call(monkeypatch):
+    # perfbench/tracing.py counts rotations per form by wrapping this
+    # module attribute, so classify must call it, once, through the module
+    import sys
+    mod = sys.modules["lanternbook.classify"]
+    calls = []
+
+    def counting(rf):
+        calls.append(rf)
+        return cyclic_rotations(rf)
+
+    monkeypatch.setattr(mod, "cyclic_rotations", counting)
+    for rf in (ReducedForm((0, 0, 0, 0), ()),
+               ReducedForm((1, 1, 1, 1), ((-1, 1), (1, 0))),
+               ReducedForm((2, 0, 1, 1), ((0, 3), (-2, 1), (1, 0)))):
+        calls.clear()
+        classify(rf, ot1_broad=True)
+        assert calls == [rf]
 
 
 def test_small_verdicts_cross_validate_against_the_arc_engine():

@@ -345,6 +345,9 @@ def test_rv_bound_is_validated():
     for bound in (0, -1):
         with pytest.raises(PreconditionError, match="bound must be >= 1"):
             is_right_veering_upto("e", bound)
+    for bound in ("3", 3.0, True, None):
+        with pytest.raises(PreconditionError, match="bound must be an int"):
+            is_right_veering_upto("e", bound)
 
 
 def test_rv_report_serialization():

@@ -148,6 +148,14 @@ def test_r_must_have_four_components():
         ReducedForm((1, 2, 3), ())
 
 
+def test_non_int_exponents_are_refused():
+    for r, blocks in [((1.7, 0, 0, 0), ()), ((0, 0, 0, True), ()),
+                      ((0, 0, 0, 0), ((1, "2"),)), ((0, 0, 0, 0), ((1, "x"),)),
+                      ((0, 0, 0, 0), ((2.0, 1),))]:
+        with pytest.raises(PreconditionError, match="not an int"):
+            ReducedForm(r, blocks)
+
+
 def test_json_round_trip():
     rf = ReducedForm((1, -2, 0, 3), ((0, 2), (-1, -1), (4, 0)))
     text = rf_to_json(rf)
@@ -160,7 +168,8 @@ def test_json_round_trip():
 def test_json_rejects_malformed_documents():
     for doc in [{}, {"r": [1, 2, 3], "blocks": []},
                 {"r": [0, 0, 0, 0], "blocks": [[1]]},
-                {"r": [0, 0, 0, 0], "blocks": [[1, 0], [1, 1]]}]:
+                {"r": [0, 0, 0, 0], "blocks": [[1, 0], [1, 1]]},
+                '{"r": [1.7, 0, 0, true], "blocks": [[1, "2"]]}']:
         with pytest.raises(PreconditionError):
             rf_from_json(doc)
 
@@ -176,6 +185,100 @@ def test_rotation_examples():
     rots = {r.blocks for r in
             cyclic_rotations(ReducedForm((0, 0, 0, 0), ((1, 1), (1, 1))))}
     assert rots == {((1, 1), (1, 1)), ((0, 1), (1, 1), (1, 0))}
+
+
+# Letter-level reference for the run algebra: the interior is expanded
+# to single letters, peeled one pair at a time, and every rotation and
+# the mirror are re-reduced by `reduce`.
+
+def _reference_letters(rf):
+    letters = []
+    for m, n in rf.blocks:
+        letters.extend([("e", 1 if m > 0 else -1)] * abs(m))
+        letters.extend([("f", 1 if n > 0 else -1)] * abs(n))
+    return letters
+
+
+def _reference_peel(letters):
+    lo, hi = 0, len(letters)
+    while hi - lo >= 2:
+        (x, sx), (y, sy) = letters[lo], letters[hi - 1]
+        if x == y and sx == -sy:
+            lo, hi = lo + 1, hi - 1
+        else:
+            break
+    return letters[:lo], letters[lo:hi]
+
+
+def _reference_rotations(rf):
+    letters = _reference_letters(rf)
+    if not letters:
+        return [rf]
+    _, core = _reference_peel(letters)
+    return [ReducedForm(rf.r, reduce(core[k:] + core[:k]).blocks)
+            for k in range(len(core))]
+
+
+def _reference_conjugator(rf, k):
+    letters = _reference_letters(rf)
+    if not letters:
+        return ()
+    prefix, core = _reference_peel(letters)
+    return free_reduce(prefix + core[:k % len(core)])
+
+
+def _reference_mirror(rf):
+    r1, r2, r3, r4 = rf.r
+    swapped = [("f" if letter == "e" else "e", exp)
+               for letter, exp in _reference_letters(rf)]
+    return ReducedForm((r3, r2, r1, r4), reduce(swapped).blocks)
+
+
+def _assert_matches_the_letter_reference(rf):
+    rotations = cyclic_rotations(rf)
+    assert rotations == _reference_rotations(rf), rf
+    for k in range(len(rotations) + 2):
+        assert rotation_conjugator(rf, k) == _reference_conjugator(rf, k), \
+            (rf, k)
+    assert mirror_ef(rf) == _reference_mirror(rf), rf
+
+
+def test_run_rotations_match_the_letter_reference_on_edge_cases():
+    r = (1, -2, 0, 3)
+    for text in ("", "e^3", "f^-2",       # a single run
+                 "e f e^-1",              # a one-letter core
+                 "e^2 f^-1 e^-2",         # a core of one run, prefix e^2
+                 "e^-1 f^3 e^-2 f^-3 e",  # the whole prefix peeled, core e^-1
+                 "e f^2",                 # nothing to peel
+                 "e^2 f e^3",             # wrap-around merge e^5
+                 "f^-1 e f^-2 e^3 f^-4",  # wrap-around merge f^-5
+                 "e^3 f e^-1",            # partial peel from the front
+                 "e f^2 e^-3",            # partial peel from the back
+                 "e^2 f^-1 e f^-3 e f e^-2 f^2"):
+        rf = reduce(parse(text))
+        rf = ReducedForm(r, rf.blocks)
+        _assert_matches_the_letter_reference(rf)
+    rf = ReducedForm(r, ((2, 1), (3, 0)))
+    assert [rho.blocks for rho in cyclic_rotations(rf)] == [
+        ((2, 1), (3, 0)), ((1, 1), (4, 0)), ((0, 1), (5, 0)),
+        ((5, 1),), ((4, 1), (1, 0)), ((3, 1), (2, 0))]
+
+
+def test_run_rotations_match_the_letter_reference():
+    rng = random.Random(20261018)
+
+    def run():
+        return (rng.choice("ef"), rng.choice((-3, -2, -1, -1, 1, 1, 2, 3)))
+
+    for _ in range(6000):
+        core = [run() for _ in range(rng.randint(0, 6))]
+        # half of the forms are conjugated, so that there is a prefix to peel
+        u = [run() for _ in range(rng.randint(1, 3))] \
+            if rng.random() < 0.5 else []
+        interior = reduce(concat(u, core, invert(u))).blocks
+        rf = ReducedForm(tuple(rng.randint(-2, 2) for _ in range(4)),
+                         interior)
+        _assert_matches_the_letter_reference(rf)
 
 
 @given(forms)

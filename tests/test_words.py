@@ -66,7 +66,20 @@ def test_merge_terms_rejects_non_int_exponents():
     assert merge_terms([("e", 2), ("e", -2), ("f", 0)]) == ()
 
 
+def test_merge_terms_rejects_terms_that_are_not_pairs():
+    for terms in (("e", 1), [("e", 1, 2)], [("e",)], [["e"]], [5], 5):
+        with pytest.raises(PreconditionError,
+                           match="not a list of .letter, exponent. terms"):
+            merge_terms(terms)
+
+
 def test_term_inputs_are_checked_through_the_public_operations():
+    with pytest.raises(PreconditionError):
+        reduce(("e", 1))
+    with pytest.raises(PreconditionError):
+        reduce((("g",),))
+    with pytest.raises(PreconditionError):
+        equal_in_mcg((("e", 1, 2),), ())
     with pytest.raises(PreconditionError):
         equal_in_mcg((("e", 1.5),), (("e", 1),))
     with pytest.raises(PreconditionError):
