@@ -6,25 +6,26 @@ arcs (equality testing and bounded right-veering checks).
 The package has three layers:
 
 * :mod:`lanternbook.words` -- twist words over the generators a..h;
+  :mod:`lanternbook.invariant` -- the exact equality invariant (slope
+  matrices plus exponent class) and right-veering by trace;
 * :mod:`lanternbook.lantern` / :mod:`lanternbook.classify` -- the
   reduced normal form, positive factorizations, and the
   fillable/overtwisted/right-veering rule set;
 * :mod:`lanternbook.geometry` / :mod:`lanternbook.engine` -- arcs on
-  the cut-open surface, the certified twist action, the exact equality
-  oracle, and the bounded left-witness search.
+  the cut-open surface, the certified twist action, and the bounded
+  left-witness search.
 
-Everything is pure Python on the standard library; the first call into
-the arc engine builds and certifies its twist tables once per process.
+Everything is pure Python on the standard library.  The engine's names
+are re-exported lazily, so only a process that uses one imports the
+engine; its first call builds and certifies the twist tables once per
+process.
 """
 
 from .classify import (Classification, OTShape, classify, classify_rules,
                        match_ot_shape)
-from .engine import (Arc, RVReport, apply_twist, apply_word, arc_from_json,
-                     arc_to_json, certify_model, equal_in_mcg,
-                     is_right_veering_upto, make_arc, side_at_start,
-                     witness_library)
 from .errors import (InvariantViolation, MalformedArcError,
                      PreconditionError, WordSyntaxError)
+from .invariant import equal_in_mcg
 from .lantern import (PositiveFactorization, ReducedForm, canonical_form,
                       cyclic_rotations, expand, mirror_ef,
                       positive_factorization, reduce, rf_from_json,
@@ -47,3 +48,16 @@ __all__ = [
 ]
 
 __version__ = "1.0.0"
+
+_ENGINE_NAMES = frozenset((
+    "Arc", "RVReport", "apply_twist", "apply_word", "arc_from_json",
+    "arc_to_json", "certify_model", "is_right_veering_upto", "make_arc",
+    "side_at_start", "witness_library"))
+
+
+def __getattr__(name):
+    """The engine's names, imported on first use (PEP 562)."""
+    if name in _ENGINE_NAMES:
+        from . import engine
+        return getattr(engine, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

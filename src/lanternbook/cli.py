@@ -35,10 +35,9 @@ import re
 import sys
 
 from .classify import classify
-from .engine import (arc_to_json, equal_in_mcg, is_right_veering_upto,
-                     validate_bound)
 from .errors import (InvariantViolation, MalformedArcError,
                      PreconditionError, WordSyntaxError)
+from .invariant import equal_in_mcg
 from .lantern import positive_factorization, reduce, rf_to_json
 from .words import format_word, parse
 
@@ -171,6 +170,9 @@ def _run(args):
             else:
                 out.write(_fmt_classification(c) + "\n")
     elif args.subcommand == "check-rv":
+        # the only subcommand that needs the arc engine
+        from .engine import (arc_to_json, is_right_veering_upto,
+                             validate_bound)
         validate_bound(args.bound)
         for text in _input_words(args):
             report = is_right_veering_upto(parse(text), args.bound)

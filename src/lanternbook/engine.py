@@ -18,18 +18,11 @@ under data (phi, W) has crossing word  W_s^{-1} · phi(u) · W_t  (freely
 reduced), because the closed-up loop (reference arc in, u across, reverse
 reference arc out) transforms by phi.
 
-**Equality oracle.**  With the boundary fixed, Mod(S_0^4) = Z^4 x F_2:
-the four boundary twists span the central Z^4, and T_e, T_f generate a
-free group that maps isomorphically onto the level-2 subgroup of
-PSL(2,Z) (Farb-Margalit, *A Primer on Mapping Class Groups*, Ch. 2-3).
-The twist about the curve of slope p/q acts by the matrix
-[[1-2pq, 2p^2], [-2q^2, 1+2pq]], with e = 1/0, f = 0/1 and g, h = +-1;
-boundary twists act trivially.  The F_2 factor is read off the product
-of twist matrices up to sign, and the Z^4 factor then off the exponent
-class (the abelianization), so the pair is a complete invariant and
-``equal_in_mcg`` costs O(length) integer multiplies.  Which of +-1 is
-g's slope is pinned at model build by the lantern relations, and the
-pinned invariant is checked against the arc action.
+**Equality oracle.**  Equality in the mapping class group is decided by
+the slope matrices plus the exponent class (:mod:`.invariant`, whose
+docstring states the invariant); ``equal_in_mcg`` is re-exported here.
+Every model build certifies that invariant, with the slopes the module
+pinned, against the arc action (``_PIN_CHECKS``).
 
 The action data stay the geometric reference (``_equal_by_action``):
 two words are equal in the mapping class group iff their action data
@@ -56,19 +49,27 @@ tree of reduced crossing words), which the witness search relies on.
 its own left at its start ("left witness").  The search is layered and
 fully deterministic for a fixed input:
 
-1. probe a small library of certified witness arcs (ranked by cheap
+1. decide by trace (:func:`.invariant.right_veering_by_trace`): a
+   class whose slope matrix has trace +-2 is a product of boundary twists
+   and at most one power of an essential curve's twist, and the
+   reducible criterion of Honda-Kazez-Matic decides it exactly (proof
+   sketch in :mod:`.invariant`).  A right-veering class has no left
+   witness at any bound, so the search ends with none; any other class
+   goes through the steps below unchanged.  The rule runs just after the
+   probes of step 2 that the word's exponent statistics single out;
+2. probe a small library of certified witness arcs (ranked by cheap
    exponent statistics of the input word, ties in library order); every
    probe is verified by an exact side computation before being reported;
-2. strip the word: dropping positive boundary-parallel twists (they are
+3. strip the word: dropping positive boundary-parallel twists (they are
    central, hence can be moved to act last) or a trailing run of positive
    twists can only move images further right at every arc, so if the
    stripped word has no left witness up to the bound, neither has the
    original — the no-witness result transfers at the same bound;
-3. sweep every arc with at most one crossing (the reference enumeration
+4. sweep every arc with at most one crossing (the reference enumeration
    order), applying the composite action directly; this settles almost
    every non-right-veering word cheaply because short witnesses are
    common, and each hit is again certified by the exact side test;
-4. exhaustively search all arcs with at most ``bound`` crossings by
+5. exhaustively search all arcs with at most ``bound`` crossings by
    depth-first extension of the crossing word, maintaining the reduced
    image word incrementally.  Two exact devices keep this tractable.
    First, an order-interval prune: the completed arcs below a node form
@@ -109,8 +110,11 @@ from typing import NamedTuple
 
 from . import geometry
 from .errors import InvariantViolation, MalformedArcError, PreconditionError
-from .words import (BOUNDARY, GENERATORS, INTERIOR, exponent_class,
-                    format_word, free_reduce, merge_terms, parse)
+from .invariant import (SLOPE_CANDIDATES, SLOPES, _invariant, _terms,
+                        right_veering_by_trace)
+from .invariant import equal_in_mcg  # noqa: F401  (re-exported)
+from .words import (BOUNDARY, GENERATORS, INTERIOR, format_word,
+                    free_reduce, parse)
 
 LEFT = "Left"
 RIGHT = "Right"
@@ -297,43 +301,11 @@ def _action_from_polygon(polygon):
     return tuple(actions)
 
 
-# ----------------------------------------------------------------------
-# slope matrices (the equality invariant)
-# ----------------------------------------------------------------------
-
-_EF_SLOPES = {"e": (1, 0), "f": (0, 1)}
-_GH_SLOPES = ((1, 1), (-1, 1))          # slopes +1 and -1; one is g's
-_IDENTITY_MATRIX = (1, 0, 0, 1)
-
 # word pairs (one positive twist per letter) that the pinned invariant must
 # decide as the arc action does: the lantern relations, their reorderings,
 # and two pairs of distinct mapping classes
 _PIN_CHECKS = (("gef", "abcd"), ("hfe", "abcd"), ("gfe", "abcd"),
                ("hef", "abcd"), ("eeff", "efef"), ("g", "h"))
-
-
-def _slope_product(slopes, terms):
-    """Product of the twist matrices of ``terms`` (leftmost first) as a
-    row-major 4-tuple, sign-normalized so the first nonzero entry is
-    positive: the image in PSL(2,Z).  The twist about slope p/q is I + 2N
-    with N = [[-pq, p^2], [-q^2, pq]] nilpotent, so its k-th power is
-    I + 2kN.  Letters without a slope (boundary twists) act trivially."""
-    a, b, c, d = _IDENTITY_MATRIX
-    for letter, k in terms:
-        slope = slopes.get(letter)
-        if slope is None:
-            continue
-        p, q = slope
-        x, y = 1 - 2 * k * p * q, 2 * k * p * p
-        z, t = -2 * k * q * q, 1 + 2 * k * p * q
-        a, b, c, d = a * x + b * z, a * y + b * t, c * x + d * z, c * y + d * t
-    return (a, b, c, d) if a > 0 or (a == 0 and b > 0) else (-a, -b, -c, -d)
-
-
-def _invariant(slopes, terms):
-    """The complete invariant of the mapping class of ``terms``: its
-    image in PSL(2,Z) and its canonical exponent class."""
-    return _slope_product(slopes, terms), exponent_class(terms).canonical
 
 
 # ----------------------------------------------------------------------
@@ -531,7 +503,7 @@ class Model:
         self.tables = {k: raw[k] for k in "abcdef"}
         self._assign_gh(raw)
         self._certify_tables()
-        self.slopes = self._pin_slopes()
+        self.slopes = self._certify_slopes()
         self._piece_cache = {}
         self._action_cache = {}
         self._rv_cache = {}
@@ -568,29 +540,24 @@ class Model:
         self.tables["g"] = raw[gname]
         self.tables["h"] = raw[hname]
 
-    def _pin_slopes(self):
-        """Decide which of the slopes +1 and -1 is g's: exactly one
-        assignment makes both  g e f  and  h f e  trivial in PSL(2,Z).  The
-        pinned invariant must then decide the lantern relations, their
-        reorderings and the e^2 f^2 / efef pair as the arc action does."""
-        winners = []
-        for g_slope, h_slope in (_GH_SLOPES, _GH_SLOPES[::-1]):
-            slopes = dict(_EF_SLOPES, g=g_slope, h=h_slope)
-            if all(_slope_product(slopes, parse(w)) == _IDENTITY_MATRIX
-                   for w in ("g e f", "h f e")):
-                winners.append(slopes)
-        if len(winners) != 1:
-            raise InvariantViolation("slope of g not pinned by relations",
-                                     winners=str(winners))
-        slopes = winners[0]
-        for w1, w2 in _PIN_CHECKS:
-            t1 = tuple((x, 1) for x in w1)
-            t2 = tuple((x, 1) for x in w2)
-            if (_invariant(slopes, t1) == _invariant(slopes, t2)) != \
-                    (self._letters_action(t1) == self._letters_action(t2)):
-                raise InvariantViolation("slope invariant disagrees with "
-                                         "the arc action", pair=w1 + "/" + w2)
-        return slopes
+    def _certify_slopes(self):
+        """The slope assignment the arc action certifies: of the two
+        candidates, the one under which the invariant decides every pair
+        of ``_PIN_CHECKS`` as the arc action does.  It must be the one
+        :mod:`.invariant` pinned from the lantern relations alone."""
+        pairs = [tuple(tuple((x, 1) for x in w) for w in pair)
+                 for pair in _PIN_CHECKS]
+        by_action = [self._letters_action(t1) == self._letters_action(t2)
+                     for t1, t2 in pairs]
+        winners = [slopes for slopes in SLOPE_CANDIDATES
+                   if by_action == [_invariant(slopes, t1)
+                                    == _invariant(slopes, t2)
+                                    for t1, t2 in pairs]]
+        if winners != [SLOPES]:
+            raise InvariantViolation("slope invariant disagrees with the "
+                                     "arc action", pinned=str(SLOPES),
+                                     certified=str(winners))
+        return SLOPES
 
     def _certify_tables(self):
         for k in BOUNDARY:
@@ -752,18 +719,6 @@ def apply_word(arc, w):
     if isinstance(w, str):
         w = parse(w)
     return get_model().apply_word(arc, w)
-
-
-def _terms(w):
-    return parse(w) if isinstance(w, str) else merge_terms(w)
-
-
-def equal_in_mcg(w1, w2):
-    """Exact equality of two words in the mapping class group, decided by
-    the complete invariant (twist-matrix product up to sign, exponent
-    class) in O(length) integer multiplies; see the module docstring."""
-    slopes = get_model().slopes
-    return _invariant(slopes, _terms(w1)) == _invariant(slopes, _terms(w2))
 
 
 def _equal_by_action(w1, w2):
@@ -1239,6 +1194,8 @@ def _rv_search_uncached(model, terms, bound):
         arc = _probe(model, terms, sums, want_cheap=True)
         if arc is not None:
             return arc
+    if right_veering_by_trace(terms):
+        return None
     stripped = _strip_once(terms)
     if stripped is not None:
         if _rv_search(model, stripped, bound) is None:

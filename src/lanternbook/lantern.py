@@ -33,8 +33,8 @@ argument: negative interior powers are eliminated through the lantern
 substitutions (each e^-1 costs one a^-1 b^-1 c^-1 d^-1 h f, each f^-1
 one a^-1 b^-1 c^-1 d^-1 g e, with cheaper junction variants when s = 1),
 consuming boundary twists.  Every produced word is certified by the
-engine's exact equality oracle (slope matrices plus exponent class,
-cross-validated against the arc action) before being returned.
+exact equality oracle of :mod:`lanternbook.invariant` (slope matrices
+plus exponent class) before being returned.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import json
 
-from .engine import equal_in_mcg
 from .errors import InvariantViolation, PreconditionError
+from .invariant import equal_in_mcg
 from .words import (
     BOUNDARY, Word, concat, format_word, free_reduce, invert, merge_terms,
     parse, power,
@@ -127,9 +127,10 @@ def substitute_gh(w) -> Word:
     g = a b c d f^-1 e^-1, h = a b c d e^-1 f^-1 (inverses presented
     with the boundary twists trailing, using centrality); the result is
     freely reduced and has the same exponent class."""
-    terms = parse(w) if isinstance(w, str) else tuple(w)
+    terms = parse(w) if isinstance(w, str) else w
     out = []
     try:
+        terms = tuple(terms)
         for letter, exp in terms:
             if letter == "g":
                 out.extend(power(_G_POS if exp > 0 else _G_NEG, abs(exp)))
@@ -279,8 +280,8 @@ class PositiveFactorization:
     """A positive word equal in the mapping class group to
     conjugator^-1 · expand(rotation of the input) · conjugator, together
     with the rule and rotation that produced it.  Construction certifies
-    the equality through the engine's equality oracle, so existence
-    implies validity."""
+    the equality through the exact equality oracle, so existence implies
+    validity."""
 
     word: Word
     rule: str
@@ -360,7 +361,7 @@ def positive_factorization(rf: ReducedForm):
     ``rf`` satisfying a fillability rule, or None when no rotation does.
     The output word has strictly positive exponents and is certified
     equal (after undoing the recorded conjugator) to the expansion of
-    that rotation by the engine's equality oracle; certification failure
+    that rotation by the exact equality oracle; certification failure
     is an invariant-violation fault, not a None."""
     for k, rho in enumerate(cyclic_rotations(rf)):
         rule = _h_rule(rho)

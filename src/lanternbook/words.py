@@ -15,7 +15,10 @@ A *word* is a tuple of ``(letter, exponent)`` pairs with nonzero integer
 exponents and no two adjacent equal letters.  Each letter denotes the
 right (positive) Dehn twist along its curve; negative exponents are left
 twists.  **Composition order**: the leftmost term acts first, i.e. the
-word ``w1 w2`` means "apply w1, then w2".
+word ``w1 w2`` means "apply w1, then w2".  Every function here that
+takes a word raises :class:`PreconditionError` on a malformed term; the
+underscored helpers used on the equality path skip that check for terms
+already checked by :func:`merge_terms` or :func:`parse`.
 
 The grammar accepted by :func:`parse`::
 
@@ -80,6 +83,19 @@ def merge_terms(terms) -> Word:
     return tuple((l, e) for l, e in out)
 
 
+def _checked(word) -> tuple:
+    """The terms of ``word`` as a tuple, unchanged, once each has passed
+    the checks of :func:`merge_terms` (which raises
+    :class:`PreconditionError` on a malformed term)."""
+    try:
+        terms = tuple(word)
+    except TypeError as exc:
+        raise PreconditionError("not a list of (letter, exponent) terms: %s"
+                                % exc) from None
+    merge_terms(terms)
+    return terms
+
+
 def parse(text: str) -> Word:
     """Parse ``text`` into a freely reduced word.
 
@@ -121,7 +137,7 @@ def format_word(word) -> str:
     Round trip: ``parse(format_word(w)) == w`` for every valid word ``w``.
     """
     pieces = []
-    for letter, exp in word:
+    for letter, exp in _checked(word):
         pieces.append(letter if exp == 1 else "%s^%d" % (letter, exp))
     return " ".join(pieces)
 
@@ -156,12 +172,13 @@ def concat(*words) -> Word:
 
 def invert(word) -> Word:
     """The inverse word: reversed order, negated exponents."""
-    return tuple((l, -e) for l, e in reversed(word))
+    return tuple((l, -e) for l, e in reversed(_checked(word)))
 
 
 def power(word, k: int) -> Word:
     """k-fold concatenation (inverse word for negative k)."""
     if k == 0:
+        _checked(word)
         return ()
     base = word if k > 0 else invert(word)
     return merge_terms([t for _ in range(abs(k)) for t in base])
@@ -169,7 +186,7 @@ def power(word, k: int) -> Word:
 
 def word_length(word) -> int:
     """Total letter count: the sum of |exponent| over all terms."""
-    return sum(abs(e) for _, e in word)
+    return sum(abs(e) for _, e in _checked(word))
 
 
 def mirror_word(word) -> Word:
@@ -182,7 +199,7 @@ def mirror_word(word) -> Word:
     """
     swap = {"a": "c", "c": "a", "e": "f", "f": "e", "g": "h", "h": "g",
             "b": "b", "d": "d"}
-    return tuple((swap[l], e) for l, e in word)
+    return tuple((swap[l], e) for l, e in _checked(word))
 
 
 # ----------------------------------------------------------------------
@@ -218,13 +235,25 @@ class ExponentVector:
         return all(x == 0 for x in self.canonical)
 
 
+def _exponent_sums(terms) -> tuple:
+    """The exponent sum of each generator over checked ``terms``."""
+    sums = dict.fromkeys(GENERATORS, 0)
+    for letter, exp in terms:
+        sums[letter] += exp
+    return tuple(sums.values())
+
+
+def _canonical_class(terms) -> tuple:
+    """The canonical tuple of :func:`exponent_class` for terms that have
+    already been checked (by :func:`merge_terms` or :func:`parse`), with
+    no second pass to check them."""
+    va, vb, vc, vd, ve, vf, vg, vh = _exponent_sums(terms)
+    return (va + vg + vh, vb + vg + vh, vc + vg + vh, vd + vg + vh,
+            ve - vg - vh, vf - vg - vh)
+
+
 def exponent_class(word) -> ExponentVector:
     """The abelianization of ``word`` modulo the lantern lattice."""
-    sums = {l: 0 for l in GENERATORS}
-    for letter, exp in word:
-        sums[letter] += exp
-    raw = tuple(sums[l] for l in GENERATORS)
-    va, vb, vc, vd, ve, vf, vg, vh = raw
-    canonical = (va + vg + vh, vb + vg + vh, vc + vg + vh, vd + vg + vh,
-                 ve - vg - vh, vf - vg - vh)
-    return ExponentVector(raw=raw, canonical=canonical)
+    terms = _checked(word)
+    return ExponentVector(raw=_exponent_sums(terms),
+                          canonical=_canonical_class(terms))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lanternbook.engine import equal_in_mcg
+from lanternbook.invariant import equal_in_mcg
 from lanternbook.errors import PreconditionError
 from lanternbook.lantern import (ReducedForm, canonical_form,
                                  cyclic_rotations, expand, mirror_ef,

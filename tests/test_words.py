@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lanternbook.engine import equal_in_mcg
 from lanternbook.errors import PreconditionError, WordSyntaxError
-from lanternbook.lantern import reduce
+from lanternbook.invariant import equal_in_mcg
+from lanternbook.lantern import reduce, substitute_gh
 from lanternbook.words import (BOUNDARY, GENERATORS, concat, exponent_class,
                                format_word, free_reduce, invert, merge_terms,
                                mirror_word, parse, power, word_length)
@@ -88,6 +88,20 @@ def test_term_inputs_are_checked_through_the_public_operations():
         reduce((("e", 2.7),))
     with pytest.raises(PreconditionError):
         reduce((("x", 1),))
+    for w in (5, None):
+        with pytest.raises(PreconditionError):
+            reduce(w)
+        with pytest.raises(PreconditionError):
+            substitute_gh(w)
+
+
+def test_word_helpers_reject_malformed_terms():
+    for helper in (format_word, exponent_class, mirror_word, invert,
+                   word_length, lambda w: power(w, 0)):
+        for w in ((("e", 1.5),), (("x", 1),), (("e", 1, 2),), (("e",),),
+                  (("e", True),), 5):
+            with pytest.raises(PreconditionError):
+                helper(w)
 
 
 @given(words)
