@@ -71,19 +71,16 @@ fully deterministic for a fixed input:
    common, and each hit is again certified by the exact side test;
 5. exhaustively search all arcs with at most ``bound`` crossings by
    depth-first extension of the crossing word, maintaining the reduced
-   image word incrementally.  Two exact devices keep this tractable.
-   First, an order-interval prune: the completed arcs below a node form
-   an interval of the side order at the start port, and images preserve
+   image word incrementally.  One exact device keeps this tractable,
+   an order-interval prune: the completed arcs below a node form an
+   interval of the side order at the start port, and images preserve
    that order (they come from a homeomorphism fixing the boundary; the
    model certifies this at build time), so comparing the image of the
    interval's leftmost arc against its rightmost arc can certify a whole
-   subtree witness-free in one exact comparison.  Second, a subtree memo
-   keyed on the remaining depth, the unmatched word and image tails at
-   the match point, and a bounded window of the matched region; a floor
-   value returned by every subtree records how deeply it actually read
-   the image word, and storage is refused when the window would not
-   cover the reads.  Both devices are conservative, so exhausting the
-   tree genuinely certifies "no witness up to bound".
+   subtree witness-free in one exact comparison.  The prune is
+   conservative, so exhausting the tree genuinely certifies "no witness
+   up to bound".  The search recurses once per crossing, which is why
+   the bound is capped at ``MAX_BOUND``.
 
 The reported witness is the first one found in the documented order:
 library probes first, then the one-crossing sweep (length-major, then
@@ -330,15 +327,11 @@ class Arc:
 def make_arc(start, crossings, end):
     if start not in PORT_IDX or end not in PORT_IDX:
         raise MalformedArcError("unknown port %r" % ((start, end),))
-    word = []
-    for x in crossings:
+    word = tuple(crossings)
+    for x in word:
         if not isinstance(x, int) or not 1 <= abs(x) <= 3:
             raise MalformedArcError("bad crossing letter %r" % (x,))
-        if word and word[-1] == -x:
-            word.pop()
-        else:
-            word.append(x)
-    return Arc(start, tuple(word), end)
+    return Arc(start, _reduce_concat(word), end)
 
 
 def canonical(arc):
@@ -928,11 +921,6 @@ def _dfs_search(model, action, bound):
     W = [_decode(v) for v in action.w]
     WINV = [_inv(v) for v in W]
     max_w = max((len(v) for v in W), default=0)
-    max_phi = max(len(PHI[x]) for x in _LETTERS)
-
-    memo = {}
-    memo_budget = [400000]
-    wsize = max_w + 2
 
     def overlap(stack, wt):
         j = 0
@@ -978,16 +966,14 @@ def _dfs_search(model, action, bound):
             else:
                 lo_tail[y, r] = ((), lo_p)
 
-    def interval_prune(u, Q, len_common, rem, s_idx):
+    def interval_prune(u, Q, rem, s_idx):
         """Exact order-interval test.  The image map preserves the side
         order of arcs at the start port (certified at model build), so
         the subtree below ``u`` holds no left witness whenever the image
-        of its leftmost completed arc is not left of its rightmost one.
-        Returns (prunable, floor contribution)."""
+        of its leftmost completed arc is not left of its rightmost one."""
         y = u[-1]
         letters, t_hi = hi_tail[y, rem]
         R = list(Q)
-        emin = len(R)
         for piece in [PHI[x] for x in letters] + [W[t_hi]]:
             j = 0
             lr = len(R)
@@ -996,8 +982,6 @@ def _dfs_search(model, action, bound):
                 lr -= 1
                 j += 1
             del R[lr:]
-            if lr < emin:
-                emin = lr
             R.extend(piece[j:])
         lo_letters, t_lo = lo_tail[y, rem]
         len_u = len(u)
@@ -1009,12 +993,10 @@ def _dfs_search(model, action, bound):
             if av != R[div]:
                 break
             div += 1
-        fl = min(div, emin, len_common) - 1
         if div == la and div == lp and t_hi == t_lo:
-            return True, fl
+            return True
         if div == 0:
             entry = _EDGE_OF_PORT[s_idx]
-            fl = -1
         else:
             prev = u[div - 1] if div - 1 < len_u \
                 else lo_letters[div - 1 - len_u]
@@ -1028,22 +1010,15 @@ def _dfs_search(model, action, bound):
             exit_lo = _EDGE_OF_PORT[t_lo]
         if exit_hi == exit_lo:
             raise InvariantViolation("exit edges collide in search")
-        return (exit_hi - entry) % 12 < (exit_lo - entry) % 12, fl
+        return (exit_hi - entry) % 12 < (exit_lo - entry) % 12
 
     def completions(u, Q, len_common, s_idx):
         """Check all six completions at this node; raises _Found on a left
-        witness.  Returns the lowest Q-position consulted (conservative;
-        a pop reaching the divergence poisons the floor below the keyed
-        region so neither memo stores the subtree)."""
-        floor = len_common - 1
+        witness."""
         len_u, len_q = len(u), len(Q)
-        blen = len_q - len_common
         for t in range(6):
             wt = W[t]
             p = overlap(Q, wt)
-            floor = min(floor, len_q - 1 - p)
-            if p >= blen:
-                floor = min(floor, len_common - 2)
             len_p = len_q - p + len(wt) - p
             j = min(len_common, len_q - p)
             while True:
@@ -1061,7 +1036,6 @@ def _dfs_search(model, action, bound):
                 continue  # equal words, equal end ports: not a witness
             if j == 0:
                 entry = _EDGE_OF_PORT[s_idx]
-                floor = -1
             else:
                 entry = geometry.reentry_edge(u[j - 1])
             exit_u = geometry.exit_edge(cu) if cu is not None \
@@ -1072,60 +1046,30 @@ def _dfs_search(model, action, bound):
                 raise InvariantViolation("exit edges collide in search")
             if (exit_p - entry) % 12 > (exit_u - entry) % 12:
                 raise _Found(Arc(PORTS[s_idx], tuple(u), PORTS[t]))
-        return floor
 
     def node(u, Q, len_common, rem, s_idx):
-        """Explore the subtree rooted at crossing word ``u``.  Returns the
-        lowest Q-position consulted anywhere in the subtree (for memo
-        safety); raises _Found on a witness."""
+        """Explore the subtree rooted at crossing word ``u``; raises _Found
+        on a witness."""
         len_u, len_q = len(u), len(Q)
-        blen = len_q - len_common
         in_word = len_common < len_u
 
-        if in_word and blen > max_w:
+        if in_word and len_q - len_common > max_w:
             # image diverged inside the word for every completion: one
             # comparison decides them all
             if len_common == 0:
                 entry = _EDGE_OF_PORT[s_idx]
-                floor = -1
             else:
                 entry = geometry.reentry_edge(u[len_common - 1])
-                floor = len_common - 1
             exit_u = geometry.exit_edge(u[len_common])
             exit_p = geometry.exit_edge(Q[len_common])
             if exit_u == exit_p:
                 raise InvariantViolation("exit edges collide in search")
             if (exit_p - entry) % 12 > (exit_u - entry) % 12:
                 raise _Found(Arc(PORTS[s_idx], tuple(u), PORTS[0]))
-            if rem == 0:
-                return floor
         else:
-            floor = completions(u, Q, len_common, s_idx)
-            if rem == 0:
-                return floor
-
-        # Subtree memoization.  Behavior below the node is a function of
-        # the remaining depth, the unmatched tails of the word and of the
-        # image on either side of the match point, and a bounded window
-        # of the matched region (future cancellation can re-expose it; a
-        # deeper reach is detected through the returned floor, which
-        # blocks storage).  Keying the word tail makes the memo cover
-        # diverged nodes, where near-identity actions spend their time.
-        mkey = None
-        if len_common >= wsize and len_u - len_common <= wsize \
-                and blen <= max_w + max_phi + 2:
-            mkey = (rem, tuple(u[len_common:]), u[-1] if u else 0,
-                    tuple(Q[len_common:]),
-                    tuple(Q[len_common - wsize:len_common]))
-            hit = memo.get(mkey)
-            if hit is not None:
-                return min(len_common + hit, len_common - wsize)
-
-        if in_word:
-            prunable, fl = interval_prune(u, Q, len_common, rem, s_idx)
-            floor = min(floor, fl)
-            if prunable:
-                return floor
+            completions(u, Q, len_common, s_idx)
+        if rem == 0 or (in_word and interval_prune(u, Q, rem, s_idx)):
+            return
 
         last = u[-1] if u else 0
         for x in _LETTERS:
@@ -1133,7 +1077,6 @@ def _dfs_search(model, action, bound):
                 continue
             px = PHI[x]
             p = overlap(Q, px)
-            floor = min(floor, len_q - 1 - p)
             popped = Q[len_q - p:]
             del Q[len_q - p:]
             Q.extend(px[p:])
@@ -1142,18 +1085,10 @@ def _dfs_search(model, action, bound):
             nq = len(Q)
             while lc < len_u + 1 and lc < nq and u[lc] == Q[lc]:
                 lc += 1
-            try:
-                floor = min(floor, node(u, Q, lc, rem - 1, s_idx))
-            finally:
-                u.pop()
-                del Q[len_q - p:]
-                Q.extend(popped)
-        if mkey is not None:
-            if floor >= len_common - wsize and memo_budget[0] > 0:
-                memo_budget[0] -= 1
-                memo[mkey] = floor - len_common
-            floor = min(floor, len_common - wsize)
-        return floor
+            node(u, Q, lc, rem - 1, s_idx)
+            u.pop()
+            del Q[len_q - p:]
+            Q.extend(popped)
 
     for s_idx in range(6):
         Q = list(WINV[s_idx])
@@ -1212,13 +1147,23 @@ def _rv_search_uncached(model, terms, bound):
     return _dfs_search(model, action, bound)
 
 
+# The depth-first search recurses once per crossing, so its deepest
+# stack is about MAX_BOUND frames.  The cap stays well below the
+# interpreter's default recursion limit (1000) to leave room for the
+# caller's own frames: a test runner adds some 30-60.
+MAX_BOUND = 800
+
+
 def validate_bound(bound):
-    """Reject a witness-search bound that is not an ``int`` or is below
-    one crossing."""
+    """Reject a witness-search bound that is not an ``int`` or lies
+    outside 1..MAX_BOUND crossings."""
     if type(bound) is not int:
         raise PreconditionError("bound must be an int, got %r" % (bound,))
     if bound < 1:
         raise PreconditionError("bound must be >= 1, got %d" % bound)
+    if bound > MAX_BOUND:
+        raise PreconditionError("bound must be <= %d, got %d"
+                                % (MAX_BOUND, bound))
 
 
 def is_right_veering_upto(w, bound=12):

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from lanternbook.cli import main
+from lanternbook.engine import MAX_BOUND
 from lanternbook.errors import InvariantViolation
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -99,15 +100,19 @@ def test_check_rv_json(capsys):
 
 
 def test_check_rv_rejects_bad_bound(capsys, monkeypatch):
-    for bound in ("0", "-1"):
+    too_deep = "error: bound must be <= %d" % MAX_BOUND
+    for bound, message in (("0", "error: bound must be >= 1"),
+                           ("-1", "error: bound must be >= 1"),
+                           (str(MAX_BOUND + 1), too_deep),
+                           ("1500", too_deep)):
         code, _, err = run_cli(capsys, "check-rv", "--bound", bound, "e")
         assert code == 1
-        assert "error: bound must be >= 1" in err
+        assert err.startswith(message) and "Traceback" not in err
         # the bound is refused before any input is read
         monkeypatch.setattr(sys, "stdin", io.StringIO(""))
         code, out, err = run_cli(capsys, "check-rv", "--bound", bound)
         assert code == 1 and out == ""
-        assert "error: bound must be >= 1" in err
+        assert err.startswith(message) and "Traceback" not in err
 
 
 # -- equal / factorize ----------------------------------------------------

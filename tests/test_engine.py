@@ -345,6 +345,12 @@ def test_rv_bound_is_validated():
     for bound in (0, -1):
         with pytest.raises(PreconditionError, match="bound must be >= 1"):
             is_right_veering_upto("e", bound)
+    # the depth-first search recurses once per crossing; a deeper bound is
+    # refused before any search instead of ending in RecursionError
+    for bound in (engine.MAX_BOUND + 1, 1500):
+        with pytest.raises(PreconditionError,
+                           match="bound must be <= %d" % engine.MAX_BOUND):
+            is_right_veering_upto("a^4 b c d e^4 f^-4", bound)
     for bound in ("3", 3.0, True, None):
         with pytest.raises(PreconditionError, match="bound must be an int"):
             is_right_veering_upto("e", bound)
@@ -431,6 +437,62 @@ def test_sweep_matches_the_per_arc_predicate():
         found += arc is not None
     # both outcomes are exercised
     assert 20 <= found <= 90
+
+
+def _first_left_witness_depth_first(action, bound):
+    """Reference for the depth-first search, unpruned: start ports in
+    listed order, crossing words in preorder (children by letter +1, -1,
+    +2, -2, +3, -3, no backtracks), and at each word the six end ports in
+    listed order.  Each crossing word's image is computed once and shared
+    by all of its (start, end) port pairs."""
+    images = {}
+
+    def visit(s, u):
+        image = images.get(u)
+        if image is None:
+            image = images[u] = engine._crossing_image(action, u)
+        for t in PORTS:
+            arc = Arc(s, u, t)
+            if side_at_start(arc, engine._port_corrected(action, arc,
+                                                         image)) == LEFT:
+                return arc
+        if len(u) < bound:
+            for x in (1, -1, 2, -2, 3, -3):
+                if not u or x != -u[-1]:
+                    arc = visit(s, u + (x,))
+                    if arc is not None:
+                        return arc
+        return None
+
+    for s in PORTS:
+        arc = visit(s, ())
+        if arc is not None:
+            return arc
+    return None
+
+
+def test_depth_first_search_returns_the_first_witness_in_order():
+    # the staged search settles most words before the depth-first stage,
+    # so call that stage directly.  A random word's first witness in this
+    # order almost always has no crossing; conjugating a library word by
+    # an interior twist moves its witness to the twist's image
+    model = get_model()
+    patterns = [word for word, _ in witness_library()]
+    rng = random.Random(30)
+    depths = []
+    for trial in range(60):
+        terms = [(rng.choice(GENERATORS), rng.choice((1, -1, 2, -2)))
+                 for _ in range(rng.randint(1, 4))]
+        if trial % 2:
+            conj = ((rng.choice(INTERIOR), rng.choice((1, -1))),)
+            terms = concat(conj, rng.choice(patterns), invert(conj))
+        action = model.word_action(merge_terms(terms))
+        arc = engine._dfs_search(model, action, 3)
+        assert arc == _first_left_witness_depth_first(action, 3), terms
+        depths.append(-1 if arc is None else len(arc.crossings))
+    # both outcomes are exercised, with witnesses at and below the root
+    assert depths.count(-1) >= 5 and depths.count(0) >= 20
+    assert sum(d > 0 for d in depths) >= 5
 
 
 def test_conjugation_consistency_of_no_witness_answers():
