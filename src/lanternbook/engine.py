@@ -44,6 +44,8 @@ whose exit edge has the *smaller* counterclockwise offset from the entry
 edge passes to the *right* of the other.  This offset comparison is a
 total order on arcs from a fixed start (lexicographic over the planar
 tree of reduced crossing words), which the witness search relies on.
+``_turns_left`` states it once; ``side_at_start`` and every comparison
+of the witness search decide their divergence through it.
 
 **Witness search.**  ``is_right_veering_upto`` looks for an arc mapped to
 its own left at its start ("left witness").  The search is layered and
@@ -72,15 +74,16 @@ fully deterministic for a fixed input:
 5. exhaustively search all arcs with at most ``bound`` crossings by
    depth-first extension of the crossing word, maintaining the reduced
    image word incrementally.  One exact device keeps this tractable,
-   an order-interval prune: the completed arcs below a node form an
-   interval of the side order at the start port, and images preserve
-   that order (they come from a homeomorphism fixing the boundary; the
-   model certifies this at build time), so comparing the image of the
-   interval's leftmost arc against its rightmost arc can certify a whole
-   subtree witness-free in one exact comparison.  The prune is
-   conservative, so exhausting the tree genuinely certifies "no witness
-   up to bound".  The search recurses once per crossing, which is why
-   the bound is capped at ``MAX_BOUND``.
+   an order-interval prune.  The 12-gon alternates cut sides and ports,
+   so the leftmost and rightmost completed arcs below a node u are u
+   itself, ended at the two ports next to the re-entry edge of its last
+   letter (``_HI_PORT``, ``_LO_PORT``).  Images preserve the side order
+   (they come from a homeomorphism fixing the boundary; the model
+   certifies this at build time), so when the image of the leftmost is
+   not left of the rightmost, the subtree holds no witness.  The prune is
+   conservative, so exhausting the tree certifies "no witness up to
+   bound".  The search recurses once per crossing, which is why the bound
+   is capped at ``MAX_BOUND``.
 
 The reported witness is the first one found in the documented order:
 library probes first, then the one-crossing sweep (length-major, then
@@ -124,6 +127,29 @@ PORTS_OF_COMPONENT = {
 }
 _EDGE_OF_PORT = tuple(geometry.port_edge(p) for p in PORTS)
 _LETTERS = (1, -1, 2, -2, 3, -3)
+# 12-gon edge a strand leaves through when its next crossing is the
+# letter, and the edge it re-enters through after crossing it
+_EXIT = {x: geometry.exit_edge(x) for x in _LETTERS}
+_REENTRY = {x: geometry.reentry_edge(x) for x in _LETTERS}
+
+
+def _neighbour_port(edge):
+    name = geometry.EDGE_CYCLE[edge % 12]
+    if name not in PORT_IDX:
+        raise InvariantViolation("12-gon edge next to a cut side is not a "
+                                 "port", edge=name)
+    return PORT_IDX[name]
+
+
+# Extremal continuations.  After the letter y a strand re-enters the
+# 12-gon through a cut side, the one the backtrack -y would leave
+# through, so every legal letter and every port leaves at a ccw offset
+# 1..11.  The 12-gon alternates cut sides and ports, so both extremes are
+# ports: the one just clockwise of the re-entry edge (offset 11, the
+# leftmost continuation) and the one just counterclockwise (offset 1,
+# the rightmost).
+_HI_PORT = {y: _neighbour_port(_REENTRY[y] - 1) for y in _LETTERS}
+_LO_PORT = {y: _neighbour_port(_REENTRY[y] + 1) for y in _LETTERS}
 
 
 # ----------------------------------------------------------------------
@@ -143,10 +169,6 @@ def _reduce_concat(*parts):
             else:
                 out.append(x)
     return tuple(out)
-
-
-def _is_reduced(word):
-    return all(word[i + 1] != -word[i] for i in range(len(word) - 1))
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +351,7 @@ def make_arc(start, crossings, end):
         raise MalformedArcError("unknown port %r" % ((start, end),))
     word = tuple(crossings)
     for x in word:
-        if not isinstance(x, int) or not 1 <= abs(x) <= 3:
+        if type(x) is not int or not 1 <= abs(x) <= 3:
             raise MalformedArcError("bad crossing letter %r" % (x,))
     return Arc(start, _reduce_concat(word), end)
 
@@ -345,6 +367,7 @@ def reverse(arc):
 
 
 def arc_to_json(arc):
+    _require_canonical(arc)
     sb, se = arc.start_boundary(), arc.end_boundary()
     return {
         "start": [sb[0], sb[1]],
@@ -374,8 +397,18 @@ def arc_from_json(obj):
 
 
 def _require_canonical(arc):
-    if not _is_reduced(arc.crossings):
-        raise PreconditionError("arc is not canonical: %r" % (arc,))
+    """Refuse an arc built directly with an unknown port or crossing
+    letter (``MalformedArcError``) or with a backtrack
+    (``PreconditionError``)."""
+    if arc.start not in PORT_IDX or arc.end not in PORT_IDX:
+        raise MalformedArcError("unknown port %r" % ((arc.start, arc.end),))
+    prev = 0
+    for x in arc.crossings:
+        if x not in _EXIT:
+            raise MalformedArcError("bad crossing letter %r" % (x,))
+        if x == -prev:
+            raise PreconditionError("arc is not canonical: %r" % (arc,))
+        prev = x
 
 
 def _crossing_image(action, crossings):
@@ -414,18 +447,25 @@ def side_at_start(alpha, beta):
         k += 1
     if k == len(u) == len(v) and alpha.end == beta.end:
         return EQUAL
-    entry = _EDGE_OF_PORT[PORT_IDX[alpha.start]] if k == 0 \
-        else geometry.reentry_edge(u[k - 1])
-    exit_a = geometry.exit_edge(u[k]) if k < len(u) \
-        else _EDGE_OF_PORT[PORT_IDX[alpha.end]]
-    exit_b = geometry.exit_edge(v[k]) if k < len(v) \
-        else _EDGE_OF_PORT[PORT_IDX[beta.end]]
+    exit_a = _EXIT[u[k]] if k < len(u) else _EDGE_OF_PORT[PORT_IDX[alpha.end]]
+    exit_b = _EXIT[v[k]] if k < len(v) else _EDGE_OF_PORT[PORT_IDX[beta.end]]
+    try:
+        return LEFT if _turns_left(PORT_IDX[alpha.start], u, k,
+                                   exit_b, exit_a) else RIGHT
+    except InvariantViolation as exc:
+        exc.details.update(alpha=str(alpha), beta=str(beta))
+        raise
+
+
+def _turns_left(s_idx, prefix, k, exit_a, exit_b):
+    """The side rule: two strands from port ``s_idx`` share the crossings
+    ``prefix[:k]``, then leave the 12-gon through edges ``exit_a`` and
+    ``exit_b``.  Whether the first passes left of the second, i.e. has the
+    larger counterclockwise offset from their common entry edge."""
     if exit_a == exit_b:
-        raise InvariantViolation("divergent arcs share an exit edge",
-                                 alpha=str(alpha), beta=str(beta))
-    ra = (exit_a - entry) % 12
-    rb = (exit_b - entry) % 12
-    return LEFT if rb > ra else RIGHT
+        raise InvariantViolation("divergent arcs share an exit edge")
+    entry = _EDGE_OF_PORT[s_idx] if k == 0 else _REENTRY[prefix[k - 1]]
+    return (exit_a - entry) % 12 > (exit_b - entry) % 12
 
 
 # ----------------------------------------------------------------------
@@ -919,7 +959,6 @@ def _dfs_search(model, action, bound):
         PHI[i] = _decode(p)
         PHI[-i] = _inv(PHI[i])
     W = [_decode(v) for v in action.w]
-    WINV = [_inv(v) for v in W]
     max_w = max((len(v) for v in W), default=0)
 
     def overlap(stack, wt):
@@ -929,123 +968,26 @@ def _dfs_search(model, action, bound):
             j += 1
         return j
 
-    # Extremal completions.  The completed arcs below a node form an
-    # interval of the side order at the start port, and the interval's
-    # endpoints extend the node greedily: at every step the largest
-    # (leftmost) or smallest (rightmost) continuation is the port or
-    # letter whose exit edge has the extreme ccw offset from the entry
-    # edge.  The greedy tail only depends on the node's last letter and
-    # the remaining letter budget, so the tails are precomputed.
-    hi_tail = {}
-    lo_tail = {}
-    _step = {}
-    for y in _LETTERS:
-        entry = geometry.reentry_edge(y)
-        pranks = [(_EDGE_OF_PORT[t] - entry) % 12 for t in range(6)]
-        legal = [x for x in _LETTERS if x != -y]
-        lranks = {x: (geometry.exit_edge(x) - entry) % 12 for x in legal}
-        hi_p = max(range(6), key=pranks.__getitem__)
-        lo_p = min(range(6), key=pranks.__getitem__)
-        hi_x = max(legal, key=lranks.__getitem__)
-        lo_x = min(legal, key=lranks.__getitem__)
-        _step[y] = (hi_p, hi_x, lranks[hi_x] > pranks[hi_p],
-                    lo_p, lo_x, lranks[lo_x] < pranks[lo_p])
-        hi_tail[y, 0] = ((), hi_p)
-        lo_tail[y, 0] = ((), lo_p)
-    for r in range(1, bound + 1):
-        for y in _LETTERS:
-            hi_p, hi_x, hi_letter, lo_p, lo_x, lo_letter = _step[y]
-            if hi_letter:
-                sub = hi_tail[hi_x, r - 1]
-                hi_tail[y, r] = ((hi_x,) + sub[0], sub[1])
-            else:
-                hi_tail[y, r] = ((), hi_p)
-            if lo_letter:
-                sub = lo_tail[lo_x, r - 1]
-                lo_tail[y, r] = ((lo_x,) + sub[0], sub[1])
-            else:
-                lo_tail[y, r] = ((), lo_p)
-
-    def interval_prune(u, Q, rem, s_idx):
-        """Exact order-interval test.  The image map preserves the side
-        order of arcs at the start port (certified at model build), so
-        the subtree below ``u`` holds no left witness whenever the image
-        of its leftmost completed arc is not left of its rightmost one."""
-        y = u[-1]
-        letters, t_hi = hi_tail[y, rem]
-        R = list(Q)
-        for piece in [PHI[x] for x in letters] + [W[t_hi]]:
-            j = 0
-            lr = len(R)
-            lp = len(piece)
-            while j < lp and lr > 0 and R[lr - 1] == -piece[j]:
-                lr -= 1
-                j += 1
-            del R[lr:]
-            R.extend(piece[j:])
-        lo_letters, t_lo = lo_tail[y, rem]
-        len_u = len(u)
-        la = len_u + len(lo_letters)
-        lp = len(R)
-        div = 0
-        while div < la and div < lp:
-            av = u[div] if div < len_u else lo_letters[div - len_u]
-            if av != R[div]:
-                break
-            div += 1
-        if div == la and div == lp and t_hi == t_lo:
-            return True
-        if div == 0:
-            entry = _EDGE_OF_PORT[s_idx]
+    def image_left(u, Q, len_common, s_idx, t_img, t_arc):
+        """Whether the image of (s, u, t_img), whose crossing word is
+        Q·W[t_img] freely reduced, lies left of (s, u, t_arc); False when
+        equal.  Q and u share their first ``len_common`` letters."""
+        wt = W[t_img]
+        p = overlap(Q, wt)
+        keep = len(Q) - p       # the image word is Q[:keep] + wt[p:]
+        len_u, len_img = len(u), len(Q) + len(wt) - 2 * p
+        j = min(len_common, keep)
+        while j < len_u and j < len_img and \
+                (Q[j] if j < keep else wt[j - keep + p]) == u[j]:
+            j += 1
+        if j < len_img:
+            exit_img = _EXIT[Q[j] if j < keep else wt[j - keep + p]]
+        elif j == len_u and t_img == t_arc:
+            return False
         else:
-            prev = u[div - 1] if div - 1 < len_u \
-                else lo_letters[div - 1 - len_u]
-            entry = geometry.reentry_edge(prev)
-        exit_hi = geometry.exit_edge(R[div]) if div < lp \
-            else _EDGE_OF_PORT[t_hi]
-        if div < la:
-            av = u[div] if div < len_u else lo_letters[div - len_u]
-            exit_lo = geometry.exit_edge(av)
-        else:
-            exit_lo = _EDGE_OF_PORT[t_lo]
-        if exit_hi == exit_lo:
-            raise InvariantViolation("exit edges collide in search")
-        return (exit_hi - entry) % 12 < (exit_lo - entry) % 12
-
-    def completions(u, Q, len_common, s_idx):
-        """Check all six completions at this node; raises _Found on a left
-        witness."""
-        len_u, len_q = len(u), len(Q)
-        for t in range(6):
-            wt = W[t]
-            p = overlap(Q, wt)
-            len_p = len_q - p + len(wt) - p
-            j = min(len_common, len_q - p)
-            while True:
-                cu = u[j] if j < len_u else None
-                if j < len_q - p:
-                    cp = Q[j]
-                elif j < len_p:
-                    cp = wt[p + j - (len_q - p)]
-                else:
-                    cp = None
-                if cu is None or cp is None or cu != cp:
-                    break
-                j += 1
-            if cu is None and cp is None:
-                continue  # equal words, equal end ports: not a witness
-            if j == 0:
-                entry = _EDGE_OF_PORT[s_idx]
-            else:
-                entry = geometry.reentry_edge(u[j - 1])
-            exit_u = geometry.exit_edge(cu) if cu is not None \
-                else _EDGE_OF_PORT[t]
-            exit_p = geometry.exit_edge(cp) if cp is not None \
-                else _EDGE_OF_PORT[t]
-            if exit_u == exit_p:
-                raise InvariantViolation("exit edges collide in search")
-            if (exit_p - entry) % 12 > (exit_u - entry) % 12:
-                raise _Found(Arc(PORTS[s_idx], tuple(u), PORTS[t]))
+            exit_img = _EDGE_OF_PORT[t_img]
+        exit_arc = _EXIT[u[j]] if j < len_u else _EDGE_OF_PORT[t_arc]
+        return _turns_left(s_idx, u, j, exit_img, exit_arc)
 
     def node(u, Q, len_common, rem, s_idx):
         """Explore the subtree rooted at crossing word ``u``; raises _Found
@@ -1056,19 +998,17 @@ def _dfs_search(model, action, bound):
         if in_word and len_q - len_common > max_w:
             # image diverged inside the word for every completion: one
             # comparison decides them all
-            if len_common == 0:
-                entry = _EDGE_OF_PORT[s_idx]
-            else:
-                entry = geometry.reentry_edge(u[len_common - 1])
-            exit_u = geometry.exit_edge(u[len_common])
-            exit_p = geometry.exit_edge(Q[len_common])
-            if exit_u == exit_p:
-                raise InvariantViolation("exit edges collide in search")
-            if (exit_p - entry) % 12 > (exit_u - entry) % 12:
+            if _turns_left(s_idx, u, len_common, _EXIT[Q[len_common]],
+                           _EXIT[u[len_common]]):
                 raise _Found(Arc(PORTS[s_idx], tuple(u), PORTS[0]))
         else:
-            completions(u, Q, len_common, s_idx)
-        if rem == 0 or (in_word and interval_prune(u, Q, rem, s_idx)):
+            for t in range(6):
+                if image_left(u, Q, len_common, s_idx, t, t):
+                    raise _Found(Arc(PORTS[s_idx], tuple(u), PORTS[t]))
+        # order-interval prune (module docstring, step 5): the image of
+        # the leftmost completion is not left of the rightmost one
+        if rem == 0 or (in_word and not image_left(
+                u, Q, len_common, s_idx, _HI_PORT[u[-1]], _LO_PORT[u[-1]])):
             return
 
         last = u[-1] if u else 0
@@ -1091,7 +1031,7 @@ def _dfs_search(model, action, bound):
             Q.extend(popped)
 
     for s_idx in range(6):
-        Q = list(WINV[s_idx])
+        Q = list(_inv(W[s_idx]))
         try:
             node([], Q, 0, bound, s_idx)
         except _Found as found:

@@ -52,7 +52,9 @@ where ``ci+``/``ci-`` are the upper/lower sides of cut i and P* are the
 boundary intervals ("ports"): C1 and C4 contribute one port each (P1, P4),
 C2 and C3 two each (P2a/P3a above the axis, P2b/P3b below).  This cycle is
 what turns first-divergence of crossing words into the left/right order of
-arcs; see the engine module.
+arcs; see the engine module.  It alternates cut sides and ports, so both
+neighbours of a cut side are ports, and the engine's witness-search prune
+relies on that.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from lanternbook import engine
+from lanternbook import engine, geometry
 from lanternbook.engine import (IDENTITY_ACTION, LEFT, PORTS_OF_COMPONENT,
                                 RIGHT, Arc, Model, _action_from_polygon,
                                 _canonical_sweep, _equal_by_action,
@@ -135,6 +135,33 @@ def test_make_arc_rejects_garbage():
         make_arc("P1", [4], "P1")
     with pytest.raises(MalformedArcError):
         make_arc("P1", ["d1"], "P1")
+    for letter in (True, 1.0, 0):
+        with pytest.raises(MalformedArcError, match="bad crossing letter"):
+            make_arc("P1", [letter], "P2a")
+
+
+def test_arcs_built_directly_are_checked_at_every_entry_point():
+    # Arc is exported at the package root, so it can be built without
+    # make_arc's checks; each operation refuses it with one of the
+    # package's error kinds, not a bare KeyError (or, from arc_to_json, a
+    # "d7" crossing that arc_from_json would refuse)
+    cases = [(Arc("Q", (1,), "P1"), MalformedArcError, "unknown port"),
+             (Arc("P1", (1,), "Q"), MalformedArcError, "unknown port"),
+             (Arc("P1", (7,), "P1"), MalformedArcError, "bad crossing letter"),
+             (Arc("P1", (1, 0), "P1"), MalformedArcError,
+              "bad crossing letter"),
+             (Arc("P1", (1, -1), "P1"), PreconditionError, "not canonical")]
+    for arc, kind, message in cases:
+        with pytest.raises(kind, match=message):
+            side_at_start(arc, arc)
+        with pytest.raises(kind, match=message):
+            apply_twist(arc, "e")
+        with pytest.raises(kind, match=message):
+            apply_word(arc, "e f^-1")
+        with pytest.raises(kind, match=message):
+            apply_word(arc, "")
+        with pytest.raises(kind, match=message):
+            arc_to_json(arc)
 
 
 def test_arc_json_round_trip():
@@ -493,6 +520,71 @@ def test_depth_first_search_returns_the_first_witness_in_order():
     # both outcomes are exercised, with witnesses at and below the root
     assert depths.count(-1) >= 5 and depths.count(0) >= 20
     assert sum(d > 0 for d in depths) >= 5
+
+
+def test_extremal_continuations_are_the_ports_next_to_the_reentry_edge():
+    # The depth-first search prunes a node u by its leftmost and rightmost
+    # completions, which it takes to be u itself ended at _HI_PORT and
+    # _LO_PORT of its last letter.  Brute force: after crossing y, the
+    # leftmost (rightmost) one-step continuation is the port or legal
+    # letter whose exit edge has the largest (smallest) counterclockwise
+    # offset from the re-entry edge.  It is a port because the 12-gon
+    # alternates cut sides and ports.
+    kinds = ["port" if name in PORTS else "cut"
+             for name in geometry.EDGE_CYCLE]
+    assert sorted(set(geometry.EDGE_CYCLE) - set(PORTS)) == \
+        ["c1+", "c1-", "c2+", "c2-", "c3+", "c3-"]
+    assert all(kinds[i] != kinds[i - 1] for i in range(12))
+    letters = (1, -1, 2, -2, 3, -3)
+    for y in letters:
+        entry = geometry.reentry_edge(y)
+        offsets = {("port", t): (geometry.port_edge(t) - entry) % 12
+                   for t in PORTS}
+        offsets.update({("letter", x): (geometry.exit_edge(x) - entry) % 12
+                        for x in letters if x != -y})
+        assert sorted(offsets.values()) == list(range(1, 12)), y
+        leftmost = max(offsets, key=offsets.get)
+        rightmost = min(offsets, key=offsets.get)
+        assert leftmost == ("port", PORTS[engine._HI_PORT[y]]), y
+        assert rightmost == ("port", PORTS[engine._LO_PORT[y]]), y
+
+
+def test_side_rule_faults_are_invariant_violations(monkeypatch):
+    # the prune would be unsound if a cut side had a neighbour that is not
+    # a port; the tables are built through a check that refuses one
+    with pytest.raises(InvariantViolation, match="not a port"):
+        engine._neighbour_port(geometry.EDGE_INDEX["c2+"])
+    # two divergent strands leaving through one edge: side_at_start names
+    # both arcs in the fault
+    edges = list(engine._EDGE_OF_PORT)
+    edges[PORTS.index("P2a")] = edges[PORTS.index("P1")]
+    monkeypatch.setattr(engine, "_EDGE_OF_PORT", tuple(edges))
+    alpha, beta = Arc("P1", (), "P1"), Arc("P1", (), "P2a")
+    with pytest.raises(InvariantViolation, match="share an exit edge") as exc:
+        side_at_start(alpha, beta)
+    assert exc.value.details == {"alpha": str(alpha), "beta": str(beta)}
+
+
+def test_deep_search_is_pruned_up_to_the_bound_cap(monkeypatch):
+    # A no-witness word whose search goes as deep as the bound: at
+    # MAX_BOUND it recurses some 800 frames below the test runner's (the
+    # cap's headroom) and makes about 250,000 side comparisons, linear in
+    # the bound because the order-interval prune cuts every side branch.
+    # Unpruned, the tree has more than 5^800 nodes; the comparison budget
+    # turns that into a failure instead of a hang.
+    model = get_model()
+    action = model.word_action(parse("a^4 b c d e^4 f^-4"))
+    true_rule = engine._turns_left
+    count = [0]
+
+    def budgeted_rule(*args):
+        count[0] += 1
+        if count[0] > 500_000:
+            raise AssertionError("the order-interval prune stopped pruning")
+        return true_rule(*args)
+
+    monkeypatch.setattr(engine, "_turns_left", budgeted_rule)
+    assert engine._dfs_search(model, action, engine.MAX_BOUND) is None
 
 
 def test_conjugation_consistency_of_no_witness_answers():
