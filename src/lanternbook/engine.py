@@ -182,7 +182,10 @@ def _reduce_concat(*parts):
 # inversion is reverse-plus-swapcase, and free reduction is repeated
 # deletion of the six inverse digrams.  Image words grow geometrically
 # with the twist count, so this is what keeps long-word action
-# composition (the equality oracle's workload) affordable.
+# composition (the equality oracle's workload) affordable.  The image of
+# a single arc under a word is folded in the same bytes: the arc is
+# encoded once, each twist rewrites its crossing word, and the result is
+# decoded once (``Model.apply_word``).
 # ----------------------------------------------------------------------
 
 _ENCODE = {1: 0x61, -1: 0x41, 2: 0x62, -2: 0x42, 3: 0x63, -3: 0x43}
@@ -219,6 +222,9 @@ def _reduce_str(s):
 def _cat_str(a, b):
     """Concatenate two freely reduced byte strings, cancelling at the
     seam (XOR 0x20 toggles ASCII case, i.e. inverts one letter)."""
+    if not a or not b:
+        # most port correction words are empty; no seam to cancel
+        return a + b
     i, j = len(a), 0
     n = min(i, len(b))
     while j < n and a[i - 1] == b[j] ^ 0x20:
@@ -246,12 +252,13 @@ class ArcAction:
     basis t1..t3 and the six port correction words, all as free-group
     strings."""
 
-    __slots__ = ("phi", "w", "_table")
+    __slots__ = ("phi", "w", "_table", "_w_inv")
 
     def __init__(self, phi, w):
         self.phi = tuple(phi)
         self.w = tuple(w)
         self._table = None
+        self._w_inv = None
 
     @property
     def table(self):
@@ -272,6 +279,14 @@ class ArcAction:
             self._table = (bytes.maketrans(bytes(src), bytes(dst)),
                            tuple(pairs))
         return self._table
+
+    @property
+    def w_inv(self):
+        """The inverse port correction words W_s^{-1}, derived on first
+        use like ``table``: composing actions never needs them."""
+        if self._w_inv is None:
+            self._w_inv = tuple(map(_inv_str, self.w))
+        return self._w_inv
 
     def key(self):
         return (self.phi, self.w)
@@ -347,9 +362,13 @@ class Arc:
 
 
 def make_arc(start, crossings, end):
-    if start not in PORT_IDX or end not in PORT_IDX:
+    if start not in PORTS or end not in PORTS:
         raise MalformedArcError("unknown port %r" % ((start, end),))
-    word = tuple(crossings)
+    try:
+        word = tuple(crossings)
+    except TypeError:
+        raise MalformedArcError("crossings are not a sequence of letters: "
+                                "%r" % (crossings,)) from None
     for x in word:
         if type(x) is not int or not 1 <= abs(x) <= 3:
             raise MalformedArcError("bad crossing letter %r" % (x,))
@@ -663,13 +682,24 @@ class Model:
                                _crossing_image(action, arc.crossings))
 
     def apply_word(self, arc, word):
-        """Apply a word to one arc, folding term by term (cheaper than
-        materializing the composite action when only one image is needed)."""
+        """Apply a word to one arc, folding term by term in bytes: the
+        arc is encoded once, each twist's step runs on the encoded crossing
+        word, and the image is decoded once (cheaper than materializing the
+        composite action when only one image is needed)."""
         _require_canonical(arc)
-        img = arc
-        for letter, exp in free_reduce(word):
-            img = self.apply_action(self.piece_action(letter, exp), img)
-        return img
+        return self._fold(arc, free_reduce(word))
+
+    def _fold(self, arc, terms):
+        """The image of the canonical ``arc`` under the freely reduced
+        ``terms``.  The ports are fixed, so each term's step is
+        c <- W_s^{-1} . reduce(phi(c)) . W_t  on the encoded word c."""
+        s, t = PORT_IDX[arc.start], PORT_IDX[arc.end]
+        word = _encode(arc.crossings)
+        for letter, exp in terms:
+            action = self.piece_action(letter, exp)
+            word = _cat_str(_cat_str(action.w_inv[s], _reduce_str(
+                _substitute(word, action.table))), action.w[t])
+        return Arc(arc.start, _decode(word), arc.end)
 
     # -- library ----------------------------------------------------------
 
@@ -738,10 +768,12 @@ def get_model():
 def apply_twist(arc, curve, sign=1):
     """Image of ``arc`` under the Dehn twist along ``curve`` (right twist
     for sign +1, left for -1); the result is canonical."""
-    if curve not in GENERATORS:
+    # GENERATORS is a str, in which "" and "ab" are substrings
+    if curve not in tuple(GENERATORS):
         raise PreconditionError("unknown curve %r" % (curve,))
-    if sign not in (1, -1):
-        raise PreconditionError("sign must be +1 or -1")
+    if type(sign) is not int or sign not in (1, -1):
+        raise PreconditionError("sign must be the int +1 or -1, got %r"
+                                % (sign,))
     model = get_model()
     _require_canonical(arc)
     return model.apply_action(model.tables[curve][0 if sign > 0 else 1], arc)
@@ -910,11 +942,11 @@ def _probe_score(entry, sums):
 def _probe(model, terms, sums, want_cheap):
     """Try the library arcs (both orientations) as witnesses, cheapest
     promising ones first.  ``want_cheap`` True probes only entries whose
-    statistics match the word; False probes the remaining ones."""
-    ranked = sorted(enumerate(model.ensure_library()),
-                    key=lambda pair: (_probe_score(pair[1], sums), pair[0]))
-    for _, entry in ranked:
-        score = _probe_score(entry, sums)
+    statistics match the word; False probes the remaining ones.  ``terms``
+    is freely reduced, so each image is folded without reducing again."""
+    ranked = sorted((_probe_score(entry, sums), i, entry)
+                    for i, entry in enumerate(model.ensure_library()))
+    for score, _, entry in ranked:
         if want_cheap and score >= 2:
             break
         if not want_cheap and score < 2:
@@ -924,8 +956,7 @@ def _probe(model, terms, sums, want_cheap):
         if rev != entry.arc:
             candidates.append(rev)
         for arc in candidates:
-            img = model.apply_word(arc, terms)
-            if side_at_start(arc, img) == LEFT:
+            if side_at_start(arc, model._fold(arc, terms)) == LEFT:
                 return arc
     return None
 

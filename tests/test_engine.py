@@ -22,9 +22,9 @@ from lanternbook.engine import (IDENTITY_ACTION, LEFT, PORTS_OF_COMPONENT,
 from lanternbook.errors import (InvariantViolation, MalformedArcError,
                                 PreconditionError, WordSyntaxError)
 from lanternbook.geometry import CURVE_POLYGONS, PORTS
-from lanternbook.lantern import expand, reduce
-from lanternbook.words import (INTERIOR, concat, exponent_class, invert,
-                               merge_terms, parse)
+from lanternbook.lantern import ReducedForm, expand, reduce
+from lanternbook.words import (INTERIOR, concat, exponent_class, free_reduce,
+                               invert, merge_terms, parse)
 
 GENERATORS = "abcdefgh"
 
@@ -129,8 +129,9 @@ def test_make_arc_removes_backtracks():
 
 
 def test_make_arc_rejects_garbage():
-    with pytest.raises(MalformedArcError):
-        make_arc("P9", [], "P1")
+    for start in ("P9", None, ["P1"]):
+        with pytest.raises(MalformedArcError, match="unknown port"):
+            make_arc(start, [], "P1")
     with pytest.raises(MalformedArcError):
         make_arc("P1", [4], "P1")
     with pytest.raises(MalformedArcError):
@@ -138,6 +139,21 @@ def test_make_arc_rejects_garbage():
     for letter in (True, 1.0, 0):
         with pytest.raises(MalformedArcError, match="bad crossing letter"):
             make_arc("P1", [letter], "P2a")
+    for crossings in (5, None):
+        with pytest.raises(MalformedArcError, match="not a sequence"):
+            make_arc("P1", crossings, "P1")
+
+
+def test_apply_twist_rejects_bad_curves_and_signs():
+    arc = Arc("P1", (1,), "P2a")
+    for curve in ("x", "E", "", "ef", None, ["e"]):
+        with pytest.raises(PreconditionError, match="unknown curve"):
+            apply_twist(arc, curve, 1)
+    # True == 1 and 1.0 == 1, so a membership test alone would take them
+    for sign in (2, 0, True, 1.0, -1.0):
+        with pytest.raises(PreconditionError, match="sign must be"):
+            apply_twist(arc, "e", sign)
+    assert apply_twist(arc, "e", -1) == apply_word(arc, "e^-1")
 
 
 def test_arcs_built_directly_are_checked_at_every_entry_point():
@@ -238,6 +254,50 @@ def test_apply_word_identity_and_relations():
             apply_word(alpha, parse("a b c d"))
         assert apply_word(alpha, parse("h f e")) == \
             apply_word(alpha, parse("a b c d"))
+
+
+def _apply_term_by_term(model, arc, word):
+    """Reference for the byte fold of ``Model.apply_word``: one
+    ``apply_action`` per term, each image decoded into a new arc."""
+    img = arc
+    for letter, exp in free_reduce(word):
+        img = model.apply_action(model.piece_action(letter, exp), img)
+    return img
+
+
+def test_apply_word_matches_the_term_by_term_and_composite_images():
+    # 300 seeded words of 1-7 raw terms over all eight generators with
+    # exponents -4..4 (zeros and adjacent equal letters included, so
+    # apply_word reduces them), each applied to every library arc, its
+    # reverse and a seeded arc of at most 3 crossings between every pair
+    # of ports.  Images grow geometrically with the interior, so words of
+    # interior weight above 12 are redrawn.
+    model = get_model()
+    library = [arc for _, arc in witness_library()]
+    library += [reverse(arc) for arc in library]
+    rng = random.Random(40)
+    words = 0
+    signs, lengths = set(), set()
+    while words < 300:
+        raw = [(rng.choice(GENERATORS), rng.randint(-4, 4))
+               for _ in range(rng.randint(1, 7))]
+        if _interior_weight(merge_terms(raw)) > 12:
+            continue
+        words += 1
+        signs.update(k > 0 for _, k in merge_terms(raw))
+        lengths.add(len(raw))
+        u = []
+        while len(u) < rng.randint(0, 3):
+            x = rng.choice((1, -1, 2, -2, 3, -3))
+            if not u or x != -u[-1]:
+                u.append(x)
+        arcs = library + [make_arc(s, u, t) for s in PORTS for t in PORTS]
+        action = model.word_action(raw)
+        for arc in arcs:
+            image = apply_word(arc, raw)
+            assert image == _apply_term_by_term(model, arc, raw), (raw, arc)
+            assert image == model.apply_action(action, arc), (raw, arc)
+    assert signs == {True, False} and lengths == set(range(1, 8))
 
 
 def test_apply_word_parses_strings():
@@ -392,6 +452,66 @@ def test_rv_report_serialization():
                    "word": "e", "witness": None}
 
 
+def _probe_by_ranking_loop(model, terms, sums, want_cheap):
+    """Reference for ``engine._probe``: rank the library by score, score
+    each entry again in the loop, and take each image term by term."""
+    ranked = sorted(enumerate(model.ensure_library()),
+                    key=lambda pair: (engine._probe_score(pair[1], sums),
+                                      pair[0]))
+    for _, entry in ranked:
+        score = engine._probe_score(entry, sums)
+        if want_cheap and score >= 2:
+            break
+        if not want_cheap and score < 2:
+            continue
+        candidates = [entry.arc]
+        rev = reverse(entry.arc)
+        if rev != entry.arc:
+            candidates.append(rev)
+        for arc in candidates:
+            img = _apply_term_by_term(model, arc, terms)
+            if side_at_start(arc, img) == LEFT:
+                return arc
+    return None
+
+
+def test_probe_returns_the_ranking_loops_arc():
+    # 2,000 words shaped like the overtwisted grid (boundary exponents
+    # -4..4, one block e^m f^n or two runs, interior exponents -2..2) and
+    # 500 mixed-sign words of up to 6 terms, for both probe passes
+    model = get_model()
+    rng = random.Random(50)
+    span = (-2, -1, 1, 2)
+    words = []
+    for i in range(2000):
+        r = tuple(rng.randint(-4, 4) for _ in range(4))
+        if i % 2:
+            blocks = ((rng.randint(-2, 2), rng.randint(-2, 2)),)
+        else:
+            blocks = ((rng.choice(span), rng.choice(span)),
+                      (rng.choice(span), 0))
+        if blocks == ((0, 0),):
+            blocks = ()
+        words.append(free_reduce(expand(ReducedForm(r, blocks))))
+    while len(words) < 2500:
+        w = free_reduce(_random_word(rng, 6, 3))
+        if len({k > 0 for x, k in w if x in INTERIOR}) == 2:
+            words.append(w)
+    hits = {True: 0, False: 0}
+    for terms in words:
+        sums = {}
+        for letter, exp in terms:
+            sums[letter] = sums.get(letter, 0) + exp
+        for want_cheap in (True, False):
+            arc = engine._probe(model, terms, sums, want_cheap)
+            assert arc == _probe_by_ranking_loop(
+                model, terms, sums, want_cheap), (terms, want_cheap)
+            hits[want_cheap] += arc is not None
+    # both passes find witnesses and both miss
+    for found in hits.values():
+        assert 1000 <= found <= len(words) - 100, hits
+
+
 def test_witness_library_entries_are_certified():
     entries = witness_library()
     assert len(entries) == 9
@@ -415,19 +535,44 @@ def test_witness_library_covers_the_documented_families():
         assert side_at_start(reverse(gamma), reverse(img)) == LEFT
 
 
-def test_pruned_search_matches_the_reference_sweep():
+def test_pruned_search_matches_the_reference_sweep(monkeypatch):
     words = ["a b c d e^-2 f^-1", "a b c d e^-1 f^-2", "a^-1 e^2 f^2",
              "e^-1 f", "e f", "a b c d e^-1", "b^-1 f^3", "e^-2 f^2",
              "a b c d e^-1 f^-1", "c^-1", "e^2 f^-1", ""]
-    for text in words:
-        for bound in (3, 5):
-            rep = is_right_veering_upto(text, bound)
-            naive = _naive_first_witness(text, bound)
-            assert (rep.outcome == "NotRightVeering") == \
-                (naive is not None), (text, bound)
-            if rep.witness is not None:
-                img = apply_word(rep.witness, text)
-                assert side_at_start(rep.witness, img) == LEFT
+    cases = [(text, bound) for text in words for bound in (3, 5)]
+    # Mixed-sign words that the probe, the trace rule, the strip step and
+    # the one-crossing sweep all leave open, so the depth-first search
+    # decides them: the first four have witnesses of 2-3 crossings, the
+    # rest none.  Picked from a seeded random draw for cheap reference
+    # sweeps.
+    deep = [("h g^2 f h^-2", 3), ("h e^3 h^-2", 3), ("f h^2 f^-3", 3),
+            ("h^-3 c^2 f^2 h", 2), ("f^3 g f^-1", 3), ("f g^-3 e^2", 3),
+            ("h f^-3 g e^-1", 2), ("g^-3 e h f^2", 2), ("a e^-1 f^2 e^2", 2)]
+    model = get_model()
+    monkeypatch.setattr(model, "_rv_cache", {})
+    searched = []
+    true_dfs = engine._dfs_search
+
+    def recording_dfs(model, action, bound):
+        searched.append(action)
+        return true_dfs(model, action, bound)
+
+    monkeypatch.setattr(engine, "_dfs_search", recording_dfs)
+    outcomes = []
+    for text, bound in cases + deep:
+        del searched[:]
+        rep = is_right_veering_upto(text, bound)
+        naive = _naive_first_witness(text, bound)
+        assert (rep.outcome == "NotRightVeering") == \
+            (naive is not None), (text, bound)
+        if rep.witness is not None:
+            img = apply_word(rep.witness, text)
+            assert side_at_start(rep.witness, img) == LEFT
+        if (text, bound) in deep:
+            # the search of this word's own action, not of a stripped one
+            assert model.word_action(parse(text)) in searched, text
+            outcomes.append(rep.witness is not None)
+    assert outcomes == [True] * 4 + [False] * 5
 
 
 def _first_left_witness(model, action, depth, ports):
