@@ -7,7 +7,8 @@ The package has three layers:
 
 * :mod:`lanternbook.words` -- twist words over the generators a..h;
   :mod:`lanternbook.invariant` -- the exact equality invariant (slope
-  matrices plus exponent class) and right-veering by trace;
+  matrices plus exponent class) and the right-veering decision (by
+  trace, or by the fractional Dehn twist coefficient);
 * :mod:`lanternbook.lantern` / :mod:`lanternbook.classify` -- the
   reduced normal form, positive factorizations, and the
   fillable/overtwisted/right-veering rule set;

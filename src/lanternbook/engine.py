@@ -51,27 +51,26 @@ of the witness search decide their divergence through it.
 its own left at its start ("left witness").  The search is layered and
 fully deterministic for a fixed input:
 
-1. decide by trace (:func:`.invariant.right_veering_by_trace`): a
-   class whose slope matrix has trace +-2 is a product of boundary twists
-   and at most one power of an essential curve's twist, and the
-   reducible criterion of Honda-Kazez-Matic decides it exactly (proof
-   sketch in :mod:`.invariant`).  A right-veering class has no left
-   witness at any bound, so the search ends with none; any other class
-   goes through the steps below unchanged.  The rule runs just after the
-   probes of step 2 that the word's exponent statistics single out;
+1. decide right-veering (:func:`.invariant.right_veering`): by trace,
+   a class whose slope matrix has trace +-2 is a product of boundary
+   twists and at most one power of an essential curve's twist, and the
+   reducible criterion of Honda-Kazez-Matic decides it; any other class
+   is pseudo-Anosov, and their criterion decides it by the fractional
+   Dehn twist coefficient (FDTC), an integer read off the slope matrices
+   (proof sketches in :mod:`.invariant`).  A right-veering class has no
+   left witness at any bound, so the search ends with none; any other
+   class goes through the steps below, which find its witness when one
+   lies within the bound.  The rule runs just after the probes of step 2
+   that the word's exponent statistics single out, which settle most
+   words that are not right-veering more cheaply;
 2. probe a small library of certified witness arcs (ranked by cheap
    exponent statistics of the input word, ties in library order); every
    probe is verified by an exact side computation before being reported;
-3. strip the word: dropping positive boundary-parallel twists (they are
-   central, hence can be moved to act last) or a trailing run of positive
-   twists can only move images further right at every arc, so if the
-   stripped word has no left witness up to the bound, neither has the
-   original — the no-witness result transfers at the same bound;
-4. sweep every arc with at most one crossing (the reference enumeration
+3. sweep every arc with at most one crossing (the reference enumeration
    order), applying the composite action directly; this settles almost
    every non-right-veering word cheaply because short witnesses are
    common, and each hit is again certified by the exact side test;
-5. exhaustively search all arcs with at most ``bound`` crossings by
+4. exhaustively search all arcs with at most ``bound`` crossings by
    depth-first extension of the crossing word, maintaining the reduced
    image word incrementally.  One exact device keeps this tractable,
    an order-interval prune.  The 12-gon alternates cut sides and ports,
@@ -111,9 +110,9 @@ from typing import NamedTuple
 from . import geometry
 from .errors import InvariantViolation, MalformedArcError, PreconditionError
 from .invariant import (SLOPE_CANDIDATES, SLOPES, _invariant, _terms,
-                        right_veering_by_trace)
+                        right_veering)
 from .invariant import equal_in_mcg  # noqa: F401  (re-exported)
-from .words import (BOUNDARY, GENERATORS, INTERIOR, format_word,
+from .words import (BOUNDARY, GENERATORS, format_word,
                     free_reduce, parse)
 
 LEFT = "Left"
@@ -400,7 +399,7 @@ def arc_from_json(obj):
     try:
         start = geometry.BOUNDARY_TO_PORT[(obj["start"][0], obj["start"][1])]
         end = geometry.BOUNDARY_TO_PORT[(obj["end"][0], obj["end"][1])]
-        raw = obj["crossings"]
+        raw = list(obj["crossings"])
     except (KeyError, TypeError, IndexError) as exc:
         raise MalformedArcError("bad arc serialization: %s" % (exc,))
     word = []
@@ -417,17 +416,25 @@ def arc_from_json(obj):
 
 def _require_canonical(arc):
     """Refuse an arc built directly with an unknown port or crossing
-    letter (``MalformedArcError``) or with a backtrack
-    (``PreconditionError``)."""
-    if arc.start not in PORT_IDX or arc.end not in PORT_IDX:
+    letter, or with crossings that are not a sequence of letters
+    (``MalformedArcError``), or with a backtrack (``PreconditionError``)."""
+    try:
+        known = arc.start in PORT_IDX and arc.end in PORT_IDX
+    except TypeError:                   # an unhashable port
+        known = False
+    if not known:
         raise MalformedArcError("unknown port %r" % ((arc.start, arc.end),))
     prev = 0
-    for x in arc.crossings:
-        if x not in _EXIT:
-            raise MalformedArcError("bad crossing letter %r" % (x,))
-        if x == -prev:
-            raise PreconditionError("arc is not canonical: %r" % (arc,))
-        prev = x
+    try:
+        for x in arc.crossings:
+            if x not in _EXIT:
+                raise MalformedArcError("bad crossing letter %r" % (x,))
+            if x == -prev:
+                raise PreconditionError("arc is not canonical: %r" % (arc,))
+            prev = x
+    except TypeError:
+        raise MalformedArcError("crossings are not a sequence of letters: "
+                                "%r" % (arc.crossings,)) from None
 
 
 def _crossing_image(action, crossings):
@@ -961,26 +968,6 @@ def _probe(model, terms, sums, want_cheap):
     return None
 
 
-def _strip_once(terms):
-    """One positivity-stripping pass: drop a trailing run of positive
-    non-boundary twists, else drop all positive boundary twists.  Returns
-    the stripped word, or None at the fixpoint.  Sound for no-witness
-    transfer: right twists move every arc weakly right, and boundary
-    twists are central, so a left witness of the input is a left witness
-    of the stripped word at the same arc."""
-    lst = list(terms)
-    changed = False
-    while lst and lst[-1][0] in INTERIOR and lst[-1][1] > 0:
-        lst.pop()
-        changed = True
-    if changed:
-        return free_reduce(lst)
-    kept = [t for t in lst if not (t[0] in BOUNDARY and t[1] > 0)]
-    if len(kept) != len(lst):
-        return free_reduce(kept)
-    return None
-
-
 def _dfs_search(model, action, bound):
     """Exhaustive pruned search for a left witness with at most ``bound``
     crossings.  Returns the first witness in the documented depth-first
@@ -1036,7 +1023,7 @@ def _dfs_search(model, action, bound):
             for t in range(6):
                 if image_left(u, Q, len_common, s_idx, t, t):
                     raise _Found(Arc(PORTS[s_idx], tuple(u), PORTS[t]))
-        # order-interval prune (module docstring, step 5): the image of
+        # order-interval prune (module docstring, step 4): the image of
         # the leftmost completion is not left of the rightmost one
         if rem == 0 or (in_word and not image_left(
                 u, Q, len_common, s_idx, _HI_PORT[u[-1]], _LO_PORT[u[-1]])):
@@ -1100,12 +1087,8 @@ def _rv_search_uncached(model, terms, bound):
         arc = _probe(model, terms, sums, want_cheap=True)
         if arc is not None:
             return arc
-    if right_veering_by_trace(terms):
+    if right_veering(terms)[0]:
         return None
-    stripped = _strip_once(terms)
-    if stripped is not None:
-        if _rv_search(model, stripped, bound) is None:
-            return None
     arc = _probe(model, terms, sums, want_cheap=False)
     if arc is not None:
         return arc

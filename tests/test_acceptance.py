@@ -329,8 +329,9 @@ def test_criterion_9_positive_monoid_property():
     for w in words:
         if is_right_veering_upto(w, 12).outcome != "NoWitnessUpToBound":
             failures.append(format_word(w))
-    # the fast path answers these by positivity stripping; re-certify a
-    # deterministic subsample against the unpruned reference enumeration
+    # the right-veering rule answers these before any arc is searched;
+    # re-certify a deterministic subsample against the unpruned reference
+    # enumeration
     for w in words[::100]:
         if _naive_first_witness(w, 3) is not None:
             failures.append(("reference sweep disagrees", format_word(w)))

@@ -166,7 +166,9 @@ def test_arcs_built_directly_are_checked_at_every_entry_point():
              (Arc("P1", (7,), "P1"), MalformedArcError, "bad crossing letter"),
              (Arc("P1", (1, 0), "P1"), MalformedArcError,
               "bad crossing letter"),
-             (Arc("P1", (1, -1), "P1"), PreconditionError, "not canonical")]
+             (Arc("P1", (1, -1), "P1"), PreconditionError, "not canonical"),
+             (Arc("P1", 5, "P1"), MalformedArcError, "not a sequence"),
+             (Arc(["P1"], (), "P1"), MalformedArcError, "unknown port")]
     for arc, kind, message in cases:
         with pytest.raises(kind, match=message):
             side_at_start(arc, arc)
@@ -193,7 +195,8 @@ def test_arc_json_rejects_malformed_documents():
                 {"start": ["C1", 0], "end": ["C2", 0],
                  "crossings": [["d4", "+"]]},
                 {"start": ["C1", 0], "end": ["C2", 0],
-                 "crossings": [["d1", "*"]]}]:
+                 "crossings": [["d1", "*"]]},
+                {"start": ["C1", 0], "end": ["C2", 0], "crossings": 5}]:
         with pytest.raises(MalformedArcError):
             arc_from_json(doc)
 
@@ -540,16 +543,17 @@ def test_pruned_search_matches_the_reference_sweep(monkeypatch):
              "e^-1 f", "e f", "a b c d e^-1", "b^-1 f^3", "e^-2 f^2",
              "a b c d e^-1 f^-1", "c^-1", "e^2 f^-1", ""]
     cases = [(text, bound) for text in words for bound in (3, 5)]
-    # Mixed-sign words that the probe, the trace rule, the strip step and
-    # the one-crossing sweep all leave open, so the depth-first search
-    # decides them: the first four have witnesses of 2-3 crossings, the
-    # rest none.  Picked from a seeded random draw for cheap reference
-    # sweeps.
+    # Mixed-sign words that the probe and the one-crossing sweep leave
+    # open, so with the right-veering rule patched out the depth-first
+    # search decides them: the first four have witnesses of 2-3
+    # crossings, the rest none.  Picked from a seeded random draw for
+    # cheap reference sweeps.
     deep = [("h g^2 f h^-2", 3), ("h e^3 h^-2", 3), ("f h^2 f^-3", 3),
             ("h^-3 c^2 f^2 h", 2), ("f^3 g f^-1", 3), ("f g^-3 e^2", 3),
             ("h f^-3 g e^-1", 2), ("g^-3 e h f^2", 2), ("a e^-1 f^2 e^2", 2)]
     model = get_model()
     monkeypatch.setattr(model, "_rv_cache", {})
+    monkeypatch.setattr(engine, "right_veering", lambda terms: (False, None))
     searched = []
     true_dfs = engine._dfs_search
 
@@ -569,7 +573,7 @@ def test_pruned_search_matches_the_reference_sweep(monkeypatch):
             img = apply_word(rep.witness, text)
             assert side_at_start(rep.witness, img) == LEFT
         if (text, bound) in deep:
-            # the search of this word's own action, not of a stripped one
+            # the depth-first search of this word's own action
             assert model.word_action(parse(text)) in searched, text
             outcomes.append(rep.witness is not None)
     assert outcomes == [True] * 4 + [False] * 5
