@@ -46,6 +46,9 @@ total order on arcs from a fixed start (lexicographic over the planar
 tree of reduced crossing words), which the witness search relies on.
 ``_turns_left`` states it once; ``side_at_start`` and every comparison
 of the witness search decide their divergence through it.
+``side_at_start`` checks that both arcs are canonical and then calls the
+unchecked ``_side``, which the probe and the sweeps call directly on the
+arcs they build themselves.
 
 **Witness search.**  ``is_right_veering_upto`` looks for an arc mapped to
 its own left at its start ("left witness").  The search is layered and
@@ -65,7 +68,10 @@ fully deterministic for a fixed input:
    words that are not right-veering more cheaply;
 2. probe a small library of certified witness arcs (ranked by cheap
    exponent statistics of the input word, ties in library order); every
-   probe is verified by an exact side computation before being reported;
+   probe is verified by an exact side computation before being reported.
+   The library is built only when a probe pass has a candidate, and the
+   model only then or when the class is not right-veering, so a word
+   that the rule of step 1 alone settles builds neither;
 3. sweep every arc with at most one crossing (the reference enumeration
    order), applying the composite action directly; this settles almost
    every non-right-veering word cheaply because short witnesses are
@@ -159,17 +165,6 @@ def _inv(word):
     return tuple(-x for x in reversed(word))
 
 
-def _reduce_concat(*parts):
-    out = []
-    for part in parts:
-        for x in part:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-    return tuple(out)
-
-
 # ----------------------------------------------------------------------
 # action data
 #
@@ -232,18 +227,20 @@ def _cat_str(a, b):
     return a[:i] + b[j:]
 
 
-def _substitute(s, table):
-    """Apply a letter-to-word substitution (an ArcAction ``table``) to a
-    freely reduced byte string.  Letters are first renamed to private
-    placeholders in one translate pass so the per-letter replace passes
-    cannot re-substitute inside already-inserted images."""
+def _image(s, table):
+    """The freely reduced image of the freely reduced byte string ``s``
+    under a letter-to-word substitution (an ArcAction ``table``).  Letters
+    are first renamed to private placeholders in one translate pass so the
+    per-letter replace passes cannot re-substitute inside already-inserted
+    images.  A table with no pairs fixes every letter (the boundary twists
+    b, c and d), so ``s`` is returned as it is, with no reduction pass."""
     trans, pairs = table
     if not pairs:
         return s
     s = s.translate(trans)
     for placeholder, image in pairs:
         s = s.replace(placeholder, image)
-    return s
+    return _reduce_str(s)
 
 
 class ArcAction:
@@ -261,7 +258,7 @@ class ArcAction:
 
     @property
     def table(self):
-        """Substitution table for :func:`_substitute`: a translate map to
+        """Substitution table for :func:`_image`: a translate map to
         placeholders plus (placeholder, image word) replace pairs.  Letters
         the action fixes are left alone, so the identity needs no passes."""
         if self._table is None:
@@ -306,9 +303,8 @@ IDENTITY_ACTION = ArcAction((b"a", b"b", b"c"), (b"",) * 6)
 def _compose(first, then):
     """Action of "apply ``first``, then ``then``"."""
     table = then.table
-    phi = tuple(_reduce_str(_substitute(p, table)) for p in first.phi)
-    w = tuple(_cat_str(_reduce_str(_substitute(first.w[s], table)),
-                       then.w[s])
+    phi = tuple(_image(p, table) for p in first.phi)
+    w = tuple(_cat_str(_image(first.w[s], table), then.w[s])
               for s in range(6))
     return ArcAction(phi, w)
 
@@ -322,15 +318,14 @@ def _action_from_polygon(polygon):
             for p in PORTS]
     actions = []
     for side in (0, 1):
-        vs = [_reduce_concat(geometry.crossing_word(pair[side]))
+        vs = [_reduce_str(_encode(geometry.crossing_word(pair[side])))
               for pair in loops]
         phi1 = vs[0]
-        phi2 = _reduce_concat(_inv(vs[1]), phi1)
-        phi3 = _reduce_concat(_inv(vs[2]), phi2)
-        w = [_reduce_concat(geometry.crossing_word(pair[side]))
+        phi2 = _cat_str(_inv_str(vs[1]), phi1)
+        phi3 = _cat_str(_inv_str(vs[2]), phi2)
+        w = [_reduce_str(_encode(geometry.crossing_word(pair[side])))
              for pair in arcs]
-        actions.append(ArcAction(tuple(_encode(p) for p in (phi1, phi2, phi3)),
-                                 tuple(_encode(v) for v in w)))
+        actions.append(ArcAction((phi1, phi2, phi3), w))
     return tuple(actions)
 
 
@@ -371,7 +366,7 @@ def make_arc(start, crossings, end):
     for x in word:
         if type(x) is not int or not 1 <= abs(x) <= 3:
             raise MalformedArcError("bad crossing letter %r" % (x,))
-    return Arc(start, _reduce_concat(word), end)
+    return Arc(start, _decode(_reduce_str(_encode(word))), end)
 
 
 def canonical(arc):
@@ -439,7 +434,7 @@ def _require_canonical(arc):
 
 def _crossing_image(action, crossings):
     """phi(u): the freely reduced image of a crossing word, as bytes."""
-    return _reduce_str(_substitute(_encode(crossings), action.table))
+    return _image(_encode(crossings), action.table)
 
 
 def _port_corrected(action, arc, image):
@@ -463,10 +458,17 @@ def side_at_start(alpha, beta):
     cut 12-gon: counterclockwise offset of each exit edge from the shared
     entry edge, larger offset = further left.
     """
-    if alpha.start != beta.start:
-        raise PreconditionError("arcs start on different ports")
     _require_canonical(alpha)
     _require_canonical(beta)
+    return _side(alpha, beta)
+
+
+def _side(alpha, beta):
+    """:func:`side_at_start` for arcs the engine built itself, canonical by
+    construction: the library arcs (certified when the library is built)
+    and the images a fold or a sweep computes."""
+    if alpha.start != beta.start:
+        raise PreconditionError("arcs start on different ports")
     u, v = alpha.crossings, beta.crossings
     k = 0
     while k < len(u) and k < len(v) and u[k] == v[k]:
@@ -501,7 +503,7 @@ def _turns_left(s_idx, prefix, k, exit_a, exit_b):
 class LibraryEntry(NamedTuple):
     name: str
     patterns: tuple          # defining monodromy word(s), certified Left
-    arc: Arc
+    arc: Arc                 # None in _LIBRARY_SPEC
     kind: tuple              # ("neg", k) | ("zero", k) | ("cross",)
 
 
@@ -567,6 +569,7 @@ class Model:
         self._action_cache = {}
         self._rv_cache = {}
         self.library = None
+        self.probe_arcs = None
         self.library_build_s = None
         self.build_s = time.process_time() - start
 
@@ -704,8 +707,9 @@ class Model:
         word = _encode(arc.crossings)
         for letter, exp in terms:
             action = self.piece_action(letter, exp)
-            word = _cat_str(_cat_str(action.w_inv[s], _reduce_str(
-                _substitute(word, action.table))), action.w[t])
+            word = _cat_str(_cat_str(action.w_inv[s],
+                                     _image(word, action.table)),
+                            action.w[t])
         return Arc(arc.start, _decode(word), arc.end)
 
     # -- library ----------------------------------------------------------
@@ -716,6 +720,14 @@ class Model:
             self._certify_anchors()
             self._certify_order_preservation()
             self.library = _build_library(self)
+            # each entry's arc and, when it differs, the reversed arc: the
+            # candidates the probe tries, in order
+            probe_arcs = []
+            for entry in self.library:
+                rev = reverse(entry.arc)
+                probe_arcs.append(
+                    (entry.arc,) if rev == entry.arc else (entry.arc, rev))
+            self.probe_arcs = tuple(probe_arcs)
             self.library_build_s = time.process_time() - start
         return self.library
 
@@ -842,8 +854,7 @@ def _canonical_sweep(model, action, depth, start_ports=None, predicate=None):
             if image is None:
                 image = images[arc.crossings] = _crossing_image(
                     action, arc.crossings)
-            return side_at_start(
-                arc, _port_corrected(action, arc, image)) == LEFT
+            return _side(arc, _port_corrected(action, arc, image)) == LEFT
     for n in range(depth + 1):
         for s in ports:
             for u in _iter_reduced_words(n):
@@ -866,52 +877,23 @@ def _naive_first_witness(w, bound):
 # witness library
 # ----------------------------------------------------------------------
 
+# The library's entries before their arcs are found.  The probe ranks
+# these, so a word that none of them matches never builds the library.
+_LIBRARY_SPEC = tuple(
+    [LibraryEntry("left_witness_neg_r%d" % k,
+                  (parse("%s^-1 e^2 f^2" % BOUNDARY[k - 1]),), None,
+                  ("neg", k)) for k in range(1, 5)]
+    + [LibraryEntry("left_witness_zero_r%d" % k,
+                    (parse("e^-1 f" if k == 3 else "e^-1 f^2"),), None,
+                    ("zero", k)) for k in range(1, 5)]
+    + [LibraryEntry("left_witness_cross_C2C4",
+                    (parse("a b c d e^-2 f^-1"), parse("a b c d e^-1 f^-2")),
+                    None, ("cross",))])
+
+
 def _build_library(model):
-    entries = []
-    for k in range(1, 5):
-        letter = BOUNDARY[k - 1]
-        pattern = parse("%s^-1 e^2 f^2" % letter)
-        action = model.word_action(pattern)
-        arc = _canonical_sweep(model, action, 6,
-                               start_ports=PORTS_OF_COMPONENT["C%d" % k])
-        if arc is None:
-            raise InvariantViolation("no library witness found",
-                                     pattern=format_word(pattern))
-        entries.append(LibraryEntry("left_witness_neg_r%d" % k,
-                                    (pattern,), arc, ("neg", k)))
-    for k in range(1, 5):
-        pattern = parse("e^-1 f" if k == 3 else "e^-1 f^2")
-        action = model.word_action(pattern)
-        arc = _canonical_sweep(model, action, 6,
-                               start_ports=PORTS_OF_COMPONENT["C%d" % k])
-        if arc is None:
-            raise InvariantViolation("no library witness found",
-                                     pattern=format_word(pattern), k=k)
-        entries.append(LibraryEntry("left_witness_zero_r%d" % k,
-                                    (pattern,), arc, ("zero", k)))
-    patterns = (parse("a b c d e^-2 f^-1"), parse("a b c d e^-1 f^-2"))
-    actions = [model.word_action(p) for p in patterns]
-    c4_ports = PORTS_OF_COMPONENT["C4"]
-
-    def both_ends_left(arc):
-        if arc.end not in c4_ports:
-            return False
-        rev = reverse(arc)
-        for action in actions:
-            img = model.apply_action(action, arc)
-            if side_at_start(arc, img) != LEFT:
-                return False
-            if side_at_start(rev, reverse(img)) != LEFT:
-                return False
-        return True
-
-    arc = _canonical_sweep(model, None, 6,
-                           start_ports=PORTS_OF_COMPONENT["C2"],
-                           predicate=both_ends_left)
-    if arc is None:
-        raise InvariantViolation("no crossing library witness found")
-    entries.append(LibraryEntry("left_witness_cross_C2C4",
-                                patterns, arc, ("cross",)))
+    entries = [entry._replace(arc=_library_arc(model, entry))
+               for entry in _LIBRARY_SPEC]
     # re-certify every entry through the public path
     for entry in entries:
         for pattern in entry.patterns:
@@ -920,6 +902,39 @@ def _build_library(model):
                 raise InvariantViolation("library witness failed validation",
                                          name=entry.name)
     return entries
+
+
+def _library_arc(model, entry):
+    """The first arc of the canonical sweep (at most 6 crossings) that is
+    a left witness of every pattern of ``entry``: from the entry's own
+    boundary component, or for the crossing entry from C2 to C4 and left
+    at both of its ends."""
+    if entry.kind[0] == "cross":
+        actions = [model.word_action(p) for p in entry.patterns]
+        c4_ports = PORTS_OF_COMPONENT["C4"]
+
+        def both_ends_left(arc):
+            if arc.end not in c4_ports:
+                return False
+            rev = reverse(arc)
+            for action in actions:
+                img = model.apply_action(action, arc)
+                if _side(arc, img) != LEFT:
+                    return False
+                if _side(rev, reverse(img)) != LEFT:
+                    return False
+            return True
+
+        arc = _canonical_sweep(model, None, 6,
+                               start_ports=PORTS_OF_COMPONENT["C2"],
+                               predicate=both_ends_left)
+    else:
+        arc = _canonical_sweep(
+            model, model.word_action(entry.patterns[0]), 6,
+            start_ports=PORTS_OF_COMPONENT["C%d" % entry.kind[1]])
+    if arc is None:
+        raise InvariantViolation("no library witness found", name=entry.name)
+    return arc
 
 
 def witness_library():
@@ -948,22 +963,25 @@ def _probe_score(entry, sums):
 
 def _probe(model, terms, sums, want_cheap):
     """Try the library arcs (both orientations) as witnesses, cheapest
-    promising ones first.  ``want_cheap`` True probes only entries whose
-    statistics match the word; False probes the remaining ones.  ``terms``
-    is freely reduced, so each image is folded without reducing again."""
-    ranked = sorted((_probe_score(entry, sums), i, entry)
-                    for i, entry in enumerate(model.ensure_library()))
-    for score, _, entry in ranked:
-        if want_cheap and score >= 2:
-            break
-        if not want_cheap and score < 2:
-            continue
-        candidates = [entry.arc]
-        rev = reverse(entry.arc)
-        if rev != entry.arc:
-            candidates.append(rev)
-        for arc in candidates:
-            if side_at_start(arc, model._fold(arc, terms)) == LEFT:
+    promising ones first (by score, then library order).  ``want_cheap``
+    True probes only entries whose statistics match the word; False probes
+    the remaining ones.  ``terms`` is freely reduced, so each image is
+    folded without reducing again.  ``model`` may be None: the model and
+    the library are built only when the pass has a candidate."""
+    ranked = []
+    for i, entry in enumerate(_LIBRARY_SPEC):
+        score = _probe_score(entry, sums)
+        if (score < 2) == want_cheap:
+            ranked.append((score, i))
+    if not ranked:
+        return None
+    ranked.sort()
+    if model is None:
+        model = get_model()
+    model.ensure_library()
+    for _, i in ranked:
+        for arc in model.probe_arcs[i]:
+            if _side(arc, model._fold(arc, terms)) == LEFT:
                 return arc
     return None
 
@@ -1062,21 +1080,29 @@ def _dfs_search(model, action, bound):
     return None
 
 
-def _rv_search(model, terms, bound):
+def _rv_search(terms, bound):
     """Memoized core of is_right_veering_upto: first left witness for the
-    freely reduced word ``terms`` within ``bound`` crossings, or None."""
+    freely reduced word ``terms`` within ``bound`` crossings, or None.
+    The memo lives on the model, so an answer found before the model is
+    built is not memoized."""
     key = (terms, bound)
-    if key in model._rv_cache:
+    model = _MODEL
+    if model is not None and key in model._rv_cache:
         return model._rv_cache[key]
     arc = _rv_search_uncached(model, terms, bound)
-    if len(model._rv_cache) > 10000:
-        items = list(model._rv_cache.items())
-        model._rv_cache = dict(items[len(items) // 2:])
-    model._rv_cache[key] = arc
+    model = _MODEL                      # the search may have built it
+    if model is not None:
+        if len(model._rv_cache) > 10000:
+            items = list(model._rv_cache.items())
+            model._rv_cache = dict(items[len(items) // 2:])
+        model._rv_cache[key] = arc
     return arc
 
 
 def _rv_search_uncached(model, terms, bound):
+    """The search of the module docstring.  ``model`` may be None: the
+    model is built only when a probe pass has a candidate or the class is
+    not right-veering."""
     if not terms:
         return None
     sums = {}
@@ -1089,6 +1115,8 @@ def _rv_search_uncached(model, terms, bound):
             return arc
     if right_veering(terms)[0]:
         return None
+    if model is None:
+        model = get_model()
     arc = _probe(model, terms, sums, want_cheap=False)
     if arc is not None:
         return arc
@@ -1132,10 +1160,7 @@ def is_right_veering_upto(w, bound=12):
     validate_bound(bound)
     if isinstance(w, str):
         w = parse(w)
-    model = get_model()
-    model.ensure_library()
-    terms = free_reduce(w)
-    arc = _rv_search(model, terms, bound)
+    arc = _rv_search(free_reduce(w), bound)
     if arc is None:
         return RVReport("NoWitnessUpToBound", bound, w)
     return RVReport("NotRightVeering", bound, w, witness=arc)

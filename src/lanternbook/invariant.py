@@ -180,6 +180,14 @@ def twist_number(terms):
     matrix to the universal cover of RP^1 that composes the lifts of its
     twists (module docstring).  Exact when P's matrix is hyperbolic,
     that is, when the class is pseudo-Anosov."""
+    sums = _exponent_sums(terms)
+    return _half_turns(terms) - sums[6] - sums[7]
+
+
+def _half_turns(terms):
+    """The clockwise half-turns of the lift that composes the twists of
+    ``terms`` themselves, g and h included: tau(P) plus the total g and h
+    exponent (module docstring)."""
     steps = [(SLOPES[letter], k) for letter, k in reversed(terms)
              if letter in SLOPES]
     x, y, wraps = 1, 0, 0           # the horizontal line, normalized
@@ -194,8 +202,7 @@ def twist_number(terms):
             if y < 0 or (y == 0 and x < 0):
                 x, y = -x, -y
                 wraps += 1 if k > 0 else -1
-    sums = _exponent_sums(terms)
-    return round(wraps / _PASSES) - sums[6] - sums[7]
+    return round(wraps / _PASSES)
 
 
 def right_veering(terms):
@@ -205,9 +212,13 @@ def right_veering(terms):
     for a pseudo-Anosov one.  The rules and their proof sketches are in
     the module docstring."""
     a, b, c, d = _slope_product(SLOPES, terms)
-    r = _canonical_class(terms)[:4]
     if abs(a + d) > 2:
-        return min(r) + twist_number(terms) >= 1, "FDTC"
+        # c_k = r_k + tau(P): the g and h exponent that r_k holds is the
+        # one tau(P) subtracts from the half-turns, so c_k is the k-th
+        # boundary exponent sum plus the half-turns
+        return min(_exponent_sums(terms)[:4]) + _half_turns(terms) >= 1, \
+            "FDTC"
+    r = _canonical_class(terms)[:4]
     if b == c == 0:
         return min(r) >= 0, "trace"
     if a + d < 0:

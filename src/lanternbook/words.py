@@ -58,7 +58,15 @@ def merge_terms(terms) -> Word:
     Raises :class:`PreconditionError` for a term that is not a
     ``(letter, exponent)`` pair, for a letter that is not one of the
     eight generators and for an exponent that is not an ``int``."""
-    out: list[list] = []
+    return _merge(terms, {})
+
+
+def _merge(terms, central) -> Word:
+    """:func:`merge_terms`, except that the exponents of the letters keyed
+    in the dict ``central`` are added to it instead of merged: they commute
+    with every term, so the other terms then merge as if they were gone.
+    One checked pass over ``terms``."""
+    out: list[Term] = []
     try:
         for letter, exp in terms:
             if letter not in _GENERATOR_SET:
@@ -66,21 +74,23 @@ def merge_terms(terms) -> Word:
             if type(exp) is not int:
                 raise PreconditionError("exponent of %r is not an int: %r"
                                         % (letter, exp))
-            if exp == 0:
-                continue
-            if out and out[-1][0] == letter:
-                out[-1][1] += exp
-                if out[-1][1] == 0:
+            if letter in central:
+                central[letter] += exp
+            elif out and out[-1][0] == letter:
+                exp += out[-1][1]
+                if exp:
+                    out[-1] = (letter, exp)
+                else:
                     out.pop()
-            else:
-                out.append([letter, exp])
+            elif exp:
+                out.append((letter, exp))
     except PreconditionError:
         raise
     except (TypeError, ValueError) as exc:
         # unpacking a term that is not a pair, or hashing an odd letter
         raise PreconditionError("not a list of (letter, exponent) terms: %s"
                                 % exc) from None
-    return tuple((l, e) for l, e in out)
+    return tuple(out)
 
 
 def _checked(word) -> tuple:
@@ -147,15 +157,9 @@ def free_reduce(terms) -> Word:
     the boundary twists: all ``a, b, c, d`` terms are pulled to the front
     in alphabetical order (they commute with everything), then the interior
     terms are merged to fixpoint.  No other relation is used."""
-    boundary = {l: 0 for l in BOUNDARY}
-    interior = []
-    for letter, exp in merge_terms(terms):
-        if letter in BOUNDARY:
-            boundary[letter] += exp
-        else:
-            interior.append((letter, exp))
-    head = [(l, boundary[l]) for l in BOUNDARY if boundary[l] != 0]
-    return tuple(head) + merge_terms(interior)
+    boundary = dict.fromkeys(BOUNDARY, 0)
+    interior = _merge(terms, boundary)
+    return tuple((l, e) for l, e in boundary.items() if e) + interior
 
 
 # ----------------------------------------------------------------------

@@ -359,6 +359,43 @@ def _interior_weight(w):
                if x in INTERIOR)
 
 
+def _reduce_bytes(s):
+    """Free reduction of an encoded crossing word, one letter at a time
+    (a letter and its inverse differ in ASCII case)."""
+    out = bytearray()
+    for ch in s:
+        if out and out[-1] == ch ^ 0x20:
+            out.pop()
+        else:
+            out.append(ch)
+    return bytes(out)
+
+
+def test_image_is_the_reduced_substitution_and_skips_fixed_letters():
+    # b, c and d fix every cut letter (they change only port words), so
+    # their image is the input object itself with no pass over it; every
+    # other piece must give the freely reduced translate-and-replace
+    model = get_model()
+    rng = random.Random(51)
+    inputs = [_reduce_bytes(engine._encode(
+        [rng.choice((1, -1, 2, -2, 3, -3)) for _ in range(n)]))
+        for n in range(12) for _ in range(8)]
+    for letter in GENERATORS:
+        for exp in (-4, -3, -2, -1, 1, 2, 3, 4):
+            table = model.piece_action(letter, exp).table
+            trans, pairs = table
+            assert (pairs == ()) == (letter in "bcd"), (letter, exp)
+            for s in inputs:
+                image = engine._image(s, table)
+                if letter in "bcd":
+                    assert image is s
+                    continue
+                expected = s.translate(trans)
+                for placeholder, word in pairs:
+                    expected = expected.replace(placeholder, word)
+                assert image == _reduce_bytes(expected), (letter, exp, s)
+
+
 def _random_word(rng, max_terms=8, max_exp=4):
     terms = []
     for _ in range(rng.randint(0, max_terms)):

@@ -364,19 +364,59 @@ print(json.dumps({"codes": codes, "loaded": loaded, "answers": answers,
 """
 
 
-def test_engine_free_commands_do_not_import_the_engine():
+def _run_probe(source):
+    """Run ``source`` in a fresh interpreter on this checkout's package
+    and return what it printed, parsed as JSON."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO_ROOT / "src")] + ([env["PYTHONPATH"]]
                                    if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", _ISOLATION_PROBE],
+    proc = subprocess.run([sys.executable, "-c", source],
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {
+    return json.loads(proc.stdout)
+
+
+def test_engine_free_commands_do_not_import_the_engine():
+    assert _run_probe(_ISOLATION_PROBE) == {
         "codes": [0] * 5, "loaded": [], "answers": [True, True],
         "veering": [[True, "FDTC"], [False, "FDTC"], [True, "trace"]],
         "model": False}
+
+
+_LAZY_MODEL_PROBE = r"""
+import contextlib, io, json
+from lanternbook import cli, engine
+from lanternbook.lantern import ReducedForm, expand
+runs = []
+for word in ("a b c d e^-2", "a b c d e^-2 f^-1"):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["check-rv", word])
+    runs.append([code, out.getvalue(), engine._MODEL is not None])
+    if engine._MODEL is None:
+        # instances of the right-veering rule: no probe pass has a
+        # candidate, and the invariant settles them
+        for r, blocks in (((1, 2, 3, 1), ((-2, 3),)),
+                          ((1, 1, 1, 1), ((-1, 0),)),
+                          ((4, 1, 2, 3), ((5, -5),))):
+            report = engine.is_right_veering_upto(
+                expand(ReducedForm(r, blocks)), 12)
+            runs.append([report.outcome, engine._MODEL is not None])
+print(json.dumps(runs))
+"""
+
+
+def test_check_rv_builds_the_engine_only_for_a_probe_or_a_search():
+    # a right-veering word with no cheap-probe candidate leaves the model
+    # unbuilt; the README's witness word builds it and keeps its witness
+    witness = '{"start": ["C2", 1], "end": ["C4", 0], "crossings": []}'
+    assert _run_probe(_LAZY_MODEL_PROBE) == [
+        [0, "NoWitnessUpToBound (bound 12)\n", False],
+        ["NoWitnessUpToBound", False], ["NoWitnessUpToBound", False],
+        ["NoWitnessUpToBound", False],
+        [0, "NotRightVeering (boundary C2) witness %s\n" % witness, True]]
 
 
 def test_package_names_resolve():

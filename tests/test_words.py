@@ -1,6 +1,8 @@
 """The word layer: grammar and printing, free reduction with central
 boundary twists, word algebra, and the abelianized invariant."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -122,6 +124,47 @@ def test_free_reduce_examples():
     assert free_reduce([("e", 2), ("a", 1), ("e", 3)]) == (("a", 1), ("e", 5))
     assert free_reduce([("e", 1), ("f", 1), ("e", 1)]) == \
         (("e", 1), ("f", 1), ("e", 1))
+
+
+def _free_reduce_two_passes(terms):
+    """Reference for :func:`free_reduce`: merge the raw terms, pull the
+    boundary terms out, then merge the interior terms again."""
+    boundary = dict.fromkeys(BOUNDARY, 0)
+    interior = []
+    for letter, exp in merge_terms(terms):
+        if letter in BOUNDARY:
+            boundary[letter] += exp
+        else:
+            interior.append((letter, exp))
+    head = [(l, boundary[l]) for l in BOUNDARY if boundary[l] != 0]
+    return tuple(head) + merge_terms(interior)
+
+
+def test_free_reduce_matches_the_two_pass_reference():
+    # seeded raw words over all eight generators, with zero exponents and
+    # with runs that cancel: a word followed by the inverse of a piece of
+    # itself, with boundary terms put between the cancelling terms
+    rng = random.Random(20261018)
+    empty = 0
+    for _ in range(3000):
+        terms = [(rng.choice(GENERATORS), rng.randint(-3, 3))
+                 for _ in range(rng.randint(0, 10))]
+        if terms and rng.random() < 0.5:
+            i = rng.randrange(len(terms))
+            for letter, exp in reversed(terms[i:]):
+                if rng.random() < 0.3:
+                    terms.append((rng.choice(BOUNDARY), rng.randint(-2, 2)))
+                terms.append((letter, -exp))
+        got = free_reduce(terms)
+        assert got == _free_reduce_two_passes(terms), terms
+        empty += got == () and terms != []
+    assert empty > 100
+    for bad in ([("e", 1), ("x", 1)], [("a", 1), ("E", 2)], [(["e"], 1)],
+                [("e", 1.0)], [("a", "1")], [("b", True)], [("e", None)],
+                [("e",)], [("a", 1, 2)], ["e"], [5], ("e", 1), 5, None):
+        for reduction in (free_reduce, _free_reduce_two_passes):
+            with pytest.raises(PreconditionError):
+                reduction(bad)
 
 
 @given(words)
