@@ -24,11 +24,14 @@ with m = m1 + m2:
 
 A fillable structure is tight, an overtwisted one is not, and both are
 invariants of the monodromy's conjugacy class and of the e/f relabeling
-symmetry of the surface, so :func:`classify` evaluates the rules on
-every cyclic rotation and mirror and merges: any OT tag gives verdict
+symmetry of the surface, so :func:`classify` merges the rules over
+every cyclic rotation and its mirror: any OT tag gives verdict
 Overtwisted, else any H tag Fillable, else any R tag RightVeering, else
 Unknown.  An H tag and an OT tag together anywhere in one merge would
-disprove the rule set and raises an invariant-violation fault.
+disprove the rule set and raises an invariant-violation fault.  When
+the cyclically reduced core has four or more cyclic runs, every
+rotation and mirror carries the same tags (the argument is in
+:func:`classify`), so only rotation 0, unmirrored, is evaluated.
 
 OT1's literal statement needs no shape at all; by default it is applied
 only within the stated shape, and ``ot1_broad=True`` opts into the
@@ -37,10 +40,11 @@ shape-free reading (labeled in the output).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvariantViolation
-from .lantern import ReducedForm, _h_rule, cyclic_rotations, mirror_ef
+from .lantern import (ReducedForm, _cyclic_runs, _h_rule, _pack, _peel,
+                      cyclic_rotations, mirror_ef)
 
 FILLABLE = "HolomorphicallyFillable"
 OVERTWISTED = "Overtwisted"
@@ -162,11 +166,35 @@ def classify(rf: ReducedForm, ot1_broad: bool = False) -> Classification:
     the first candidate (rotation order, unmirrored first) carrying a
     tag of the verdict's family.  A fillable tag and an overtwisted tag
     in the same merge is an invariant-violation fault -- it would
-    falsify the rule set, and must never be silently merged away."""
+    falsify the rule set, and must never be silently merged away.
+
+    When the core left by :func:`lantern._peel` has four or more cyclic
+    runs, only rotation 0 unmirrored (``cyclic_rotations(rf)[0]``) is
+    evaluated and its tags are recorded at (0, False).  This is exact:
+
+    - A merged cyclic core has 1 run or an even number L of them.  With
+      L >= 4, a rotation has L runs, or L + 1 when it splits one, so it
+      and its mirror pack into at least 3 blocks, or into 2 blocks with
+      no zero edge exponent.  :func:`match_ot_shape` is None on every
+      candidate, H1-H3 need one block, and only H4 and broad OT1 remain.
+    - H4 reads min r and the sum of the negative exponents, broad OT1
+      reads min r.  Rotating splits a run into parts of its sign or
+      joins the end runs, which have equal signs; mirroring maps r to
+      (r3, r2, r1, r4) and swaps e with f.  Neither changes min r or the
+      negative sum, which is the core's (the peeled prefix and its
+      inverse would add to it).
+    - So all candidates carry the same tags, and rotation 0 unmirrored
+      is the first of them, as the full merge would record.
+    """
+    _, core = _peel(rf)
+    if _cyclic_runs(core) >= 4:
+        rotations, mirrors = [ReducedForm(rf.r, _pack(core))], (False,)
+    else:
+        rotations, mirrors = cyclic_rotations(rf), (False, True)
     merged = []
     decisive = {}
-    for k, rho in enumerate(cyclic_rotations(rf)):
-        for mirror in (False, True):
+    for k, rho in enumerate(rotations):
+        for mirror in mirrors:
             candidate = mirror_ef(rho) if mirror else rho
             for t in _tags(candidate, ot1_broad):
                 if t not in merged:

@@ -665,7 +665,7 @@ class Model:
         hit = self._piece_cache.get(key)
         if hit is None:
             base = self.tables[letter][0 if exp > 0 else 1]
-            acc = base
+            acc = base if exp else IDENTITY_ACTION
             for _ in range(abs(exp) - 1):
                 acc = _compose(acc, base)
             self._piece_cache[key] = acc

@@ -22,7 +22,10 @@ a tested property (``reduce(w1) == reduce(w2)`` iff ``equal_in_mcg``).
 Conjugate monodromies carry the same contact-geometric labels, so the
 classifier consumes every cyclic rotation of the interior letter
 sequence (:func:`cyclic_rotations`; the boundary part is central and
-stays put) and the e/f relabeling symmetry (:func:`mirror_ef`).  Both
+stays put) and the e/f relabeling symmetry (:func:`mirror_ef`), unless
+the cyclically reduced core has four or more cyclic runs
+(:func:`_cyclic_runs`), where every rotation and mirror gets the same
+tags (:func:`lanternbook.classify.classify`).  Both
 work on the interior's alternating (letter, exponent) runs, the e/f
 terms of :func:`expand`, and need no free reduction: the conjugating
 prefix is peeled run by run, each rotation splits at most one run, and
@@ -204,6 +207,13 @@ def _peel(rf: ReducedForm):
     return prefix, runs[lo:hi + 1]
 
 
+def _cyclic_runs(core) -> int:
+    """The number of runs of a :func:`_peel` core read around the cycle:
+    equal end letters (which carry equal signs) join into one run, so a
+    nonempty core has 1 cyclic run or an even number of them."""
+    return len(core) - (len(core) > 1 and core[0][0] == core[-1][0])
+
+
 def cyclic_rotations(rf: ReducedForm):
     """All reduced forms obtained by cyclically rotating the interior
     e/f letter sequence (the central boundary part stays put).
@@ -224,7 +234,7 @@ def cyclic_rotations(rf: ReducedForm):
     if len(core) == 1:
         return [ReducedForm(rf.r, _pack(core))] * abs(core[0][1])
     head = 0
-    if core[0][0] == core[-1][0]:
+    if _cyclic_runs(core) < len(core):
         head = abs(core[-1][1])
         core = [(core[0][0], core[0][1] + core[-1][1])] + core[1:-1]
     out = []

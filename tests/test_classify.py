@@ -9,11 +9,12 @@ from hypothesis import given
 
 from lanternbook.classify import (E_F_E, F_E_F, FILLABLE, OVERTWISTED,
                                   RIGHT_VEERING, UNKNOWN, Classification,
-                                  classify, classify_rules, match_ot_shape)
+                                  _RULE_ORDER, _tags, _verdict, classify,
+                                  classify_rules, match_ot_shape)
 from lanternbook.engine import is_right_veering_upto
 from lanternbook.errors import InvariantViolation
-from lanternbook.lantern import (ReducedForm, cyclic_rotations, expand,
-                                 mirror_ef)
+from lanternbook.lantern import (ReducedForm, _cyclic_runs, _pack, _peel,
+                                 cyclic_rotations, expand, mirror_ef)
 from tests.test_lantern import form_strategy
 
 forms = form_strategy(rmax=6, emax=6, smax=3)
@@ -195,17 +196,23 @@ def test_h1_is_monotone_in_the_boundary_exponents():
 
 def test_conflicting_verdicts_raise_an_invariant_fault(monkeypatch):
     # disjointness makes a real conflict unreachable; force one to check
-    # that the merge refuses to answer rather than pick a side
+    # that the merge refuses to answer rather than pick a side, also on
+    # a core of four cyclic runs, which classify evaluates once
     import sys
     mod = sys.modules["lanternbook.classify"]
     monkeypatch.setattr(mod, "_h_rule", lambda rf: "H1")
     with pytest.raises(InvariantViolation):
         classify(ReducedForm((1, 1, 1, 1), ((-2, -1),)))
+    with pytest.raises(InvariantViolation):
+        classify(ReducedForm((-1, 2, 2, 2), ((1, 1), (1, 1))),
+                 ot1_broad=True)
 
 
-def test_classify_looks_up_cyclic_rotations_once_per_call(monkeypatch):
+def test_classify_looks_up_cyclic_rotations_at_most_once_per_call(
+        monkeypatch):
     # perfbench/tracing.py counts rotations per form by wrapping this
-    # module attribute, so classify must call it, once, through the module
+    # module attribute, so classify must call it through the module: once
+    # when the core has at most two cyclic runs, never when it has more
     import sys
     mod = sys.modules["lanternbook.classify"]
     calls = []
@@ -215,12 +222,64 @@ def test_classify_looks_up_cyclic_rotations_once_per_call(monkeypatch):
         return cyclic_rotations(rf)
 
     monkeypatch.setattr(mod, "cyclic_rotations", counting)
-    for rf in (ReducedForm((0, 0, 0, 0), ()),
-               ReducedForm((1, 1, 1, 1), ((-1, 1), (1, 0))),
-               ReducedForm((2, 0, 1, 1), ((0, 3), (-2, 1), (1, 0)))):
+    for rf, expected in (
+            (ReducedForm((0, 0, 0, 0), ()), 1),
+            (ReducedForm((1, 1, 1, 1), ((-1, 1), (1, 0))), 1),
+            (ReducedForm((2, 0, 1, 1), ((0, 3), (-2, 1), (1, 0))), 0),
+            (ReducedForm((1, 1, 1, 1), ((1, 2), (3, -1), (2, 1))), 0)):
         calls.clear()
         classify(rf, ot1_broad=True)
-        assert calls == [rf]
+        assert calls == [rf] * expected
+
+
+def _merged_over_every_candidate(rf):
+    # the literal merge for both values of ot1_broad: every rotation,
+    # each with and without its mirror, first occurrence of a tag wins
+    candidates = [(k, mirror, mirror_ef(rho) if mirror else rho)
+                  for k, rho in enumerate(cyclic_rotations(rf))
+                  for mirror in (False, True)]
+    out = {}
+    for ot1_broad in (False, True):
+        merged = []
+        decisive = {}
+        for k, mirror, candidate in candidates:
+            for t in _tags(candidate, ot1_broad):
+                if t not in merged:
+                    merged.append(t)
+                    decisive.setdefault(t, (k, mirror))
+        if any(t[0] == "H" for t in merged) and \
+                any(t.startswith("OT") for t in merged):
+            out[ot1_broad] = InvariantViolation
+            continue
+        tags = tuple(t for t in _RULE_ORDER if t in merged)
+        verdict = _verdict(tags)
+        deciders = [decisive[t] for t in tags if _verdict((t,)) == verdict]
+        out[ot1_broad] = (verdict, tags) + \
+            (min(deciders) if deciders else (0, False))
+    return out
+
+
+def test_long_cores_are_classified_from_rotation_zero_alone():
+    rng = random.Random(1313)
+    kinds = {}
+    for _ in range(20000):
+        rf = _random_form(rng, rmax=8, emax=5, smax=6)
+        core = _peel(rf)[1]
+        kind = min(_cyclic_runs(core), 6)
+        kinds[kind] = kinds.get(kind, 0) + 1
+        if core:
+            assert ReducedForm(rf.r, _pack(core)) == cyclic_rotations(rf)[0]
+        expected = _merged_over_every_candidate(rf)
+        for ot1_broad in (False, True):
+            try:
+                c = classify(rf, ot1_broad=ot1_broad)
+                got = (c.verdict, c.rules, c.rotation, c.mirror)
+            except InvariantViolation:
+                got = InvariantViolation
+            assert got == expected[ot1_broad], (rf, ot1_broad)
+    # a cyclic core never has 3 or 5 runs; 6 stands for 6 or more
+    assert set(kinds) == {0, 1, 2, 4, 6}, kinds
+    assert min(kinds.values()) >= 500, kinds
 
 
 def test_small_verdicts_cross_validate_against_the_arc_engine():

@@ -792,3 +792,9 @@ def test_identity_action_is_identity():
     model = get_model()
     for arc in _small_arcs():
         assert model.apply_action(IDENTITY_ACTION, arc) == arc
+
+
+def test_piece_action_of_a_zero_exponent_is_the_identity():
+    model = get_model()
+    for letter in "abcdefgh":
+        assert model.piece_action(letter, 0) == IDENTITY_ACTION, letter
