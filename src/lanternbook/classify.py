@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolation
-from .lantern import (ReducedForm, _cyclic_runs, _h_rule, _pack, _peel,
+from .lantern import (ReducedForm, _cyclic_runs, _h_rule, _peel, _rotations,
                       cyclic_rotations, mirror_ef)
 
 FILLABLE = "HolomorphicallyFillable"
@@ -172,23 +172,18 @@ def classify(rf: ReducedForm, ot1_broad: bool = False) -> Classification:
     runs, only rotation 0 unmirrored (``cyclic_rotations(rf)[0]``) is
     evaluated and its tags are recorded at (0, False).  This is exact:
 
-    - A merged cyclic core has 1 run or an even number L of them.  With
-      L >= 4, a rotation has L runs, or L + 1 when it splits one, so it
-      and its mirror pack into at least 3 blocks, or into 2 blocks with
-      no zero edge exponent.  :func:`match_ot_shape` is None on every
-      candidate, H1-H3 need one block, and only H4 and broad OT1 remain.
-    - H4 reads min r and the sum of the negative exponents, broad OT1
-      reads min r.  Rotating splits a run into parts of its sign or
-      joins the end runs, which have equal signs; mirroring maps r to
-      (r3, r2, r1, r4) and swaps e with f.  Neither changes min r or the
-      negative sum, which is the core's (the peeled prefix and its
-      inverse would add to it).
+    - Every candidate packs into at least 3 blocks, or into 2 blocks
+      with no zero edge exponent, and carries the same fillability rule,
+      H4 or None (:func:`lantern._cyclic_runs`).
+    - :func:`match_ot_shape` is None on every candidate, so of the other
+      rules only broad OT1 remains, and it reads min r, which rotating
+      and mirroring keep.
     - So all candidates carry the same tags, and rotation 0 unmirrored
       is the first of them, as the full merge would record.
     """
-    _, core = _peel(rf)
+    prefix, core = _peel(rf)
     if _cyclic_runs(core) >= 4:
-        rotations, mirrors = [ReducedForm(rf.r, _pack(core))], (False,)
+        rotations, mirrors = [next(_rotations(rf, prefix, core))], (False,)
     else:
         rotations, mirrors = cyclic_rotations(rf), (False, True)
     merged = []

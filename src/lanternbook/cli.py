@@ -202,7 +202,7 @@ def _run(args):
             elif pf is None:
                 out.write("not applicable (no H-rule)\n")
             else:
-                out.write(format_word(pf.word) + "\n")
+                out.write("%s\n" % pf)
     elif args.subcommand == "census":
         coords = _parse_ranges(args.ranges)
         names = [name for name, _, _ in coords]

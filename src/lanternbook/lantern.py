@@ -23,33 +23,40 @@ Conjugate monodromies carry the same contact-geometric labels, so the
 classifier consumes every cyclic rotation of the interior letter
 sequence (:func:`cyclic_rotations`; the boundary part is central and
 stays put) and the e/f relabeling symmetry (:func:`mirror_ef`), unless
-the cyclically reduced core has four or more cyclic runs
-(:func:`_cyclic_runs`), where every rotation and mirror gets the same
-tags (:func:`lanternbook.classify.classify`).  Both
-work on the interior's alternating (letter, exponent) runs, the e/f
-terms of :func:`expand`, and need no free reduction: the conjugating
-prefix is peeled run by run, each rotation splits at most one run, and
-the mirror only swaps letters, which keeps the runs alternating.
+the cyclically reduced core has four or more cyclic runs.  Then every
+rotation and mirror carries the same fillability rule
+(:func:`_cyclic_runs`) and the same tags
+(:func:`lanternbook.classify.classify`), and rotation 0 alone is read.
+Both work on the interior's alternating (letter, exponent) runs, the
+e/f terms of :func:`expand`, and need no free reduction: the
+conjugating prefix is peeled run by run, each rotation splits at most
+one run, and the mirror only swaps letters, which keeps the runs
+alternating.
 
 :func:`positive_factorization` implements the constructive fillability
-argument: negative interior powers are eliminated through the lantern
-substitutions (each e^-1 costs one a^-1 b^-1 c^-1 d^-1 h f, each f^-1
-one a^-1 b^-1 c^-1 d^-1 g e, with cheaper junction variants when s = 1),
-consuming boundary twists.  Every produced word is certified by the
-exact equality oracle of :mod:`lanternbook.invariant` (slope matrices
-plus exponent class) before being returned.
+argument on the first rotation that meets a rule.  It builds and tests
+the rotations one at a time, in the order of :func:`cyclic_rotations`;
+rotation 0 is the form itself when nothing is peeled, and a core of
+four or more cyclic runs tests rotation 0 alone.  Negative interior
+powers are eliminated through the lantern substitutions (each e^-1
+costs one a^-1 b^-1 c^-1 d^-1 h f, each f^-1 one a^-1 b^-1 c^-1 d^-1
+g e, with cheaper junction variants when s = 1), consuming boundary
+twists.  Every produced word is certified by the exact equality oracle
+of :mod:`lanternbook.invariant` (slope matrices plus exponent class)
+before being returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 import json
 
 from .errors import InvariantViolation, PreconditionError
 from .invariant import equal_in_mcg
 from .words import (
     BOUNDARY, Word, concat, format_word, free_reduce, invert, merge_terms,
-    parse, power,
+    parse,
 )
 
 _G_POS = parse("a b c d f^-1 e^-1")
@@ -135,12 +142,15 @@ def substitute_gh(w) -> Word:
     try:
         terms = tuple(terms)
         for letter, exp in terms:
-            if letter == "g":
-                out.extend(power(_G_POS if exp > 0 else _G_NEG, abs(exp)))
-            elif letter == "h":
-                out.extend(power(_H_POS if exp > 0 else _H_NEG, abs(exp)))
-            else:
+            if letter != "g" and letter != "h":
                 out.append((letter, exp))
+                continue
+            if type(exp) is not int:
+                raise TypeError   # refused below, as merge_terms refuses it
+            if letter == "g":
+                out.extend((_G_POS if exp > 0 else _G_NEG) * abs(exp))
+            else:
+                out.extend((_H_POS if exp > 0 else _H_NEG) * abs(exp))
     except (TypeError, ValueError):
         merge_terms(terms)  # raises the PreconditionError naming the term
         raise
@@ -193,6 +203,8 @@ def _peel(rf: ReducedForm):
     of opposite signs each give up min(|a|, |b|) letters to p; peeling
     goes on only when both vanish.  The core of a nonempty interior is
     nonempty, and equal end letters of a core have equal signs."""
+    if not isinstance(rf, ReducedForm):
+        raise PreconditionError("not a ReducedForm: %r" % (rf,))
     runs = _runs(rf)
     prefix = []
     lo, hi = 0, len(runs) - 1
@@ -210,8 +222,55 @@ def _peel(rf: ReducedForm):
 def _cyclic_runs(core) -> int:
     """The number of runs of a :func:`_peel` core read around the cycle:
     equal end letters (which carry equal signs) join into one run, so a
-    nonempty core has 1 cyclic run or an even number of them."""
+    nonempty core has 1 cyclic run or an even number of them.
+
+    With L >= 4 cyclic runs, every rotation and the :func:`mirror_ef`
+    image of each carry the same :func:`_h_rule`, H4 or None:
+
+    - A rotation has L runs, or L + 1 when it splits one, so it and its
+      mirror pack into at least 3 blocks, or into 2 blocks with no zero
+      edge exponent.  H1-H3 need one block, so only H4 can hold.
+    - H4 reads min r and the sum of the negative interior exponents.
+      Rotating splits a run into parts of its sign or joins the end
+      runs, which have equal signs; mirroring maps r to (r3, r2, r1, r4)
+      and swaps e with f.  Neither changes min r or the negative sum,
+      which is the core's (the peeled prefix and its inverse would add
+      to it).
+
+    So rotation 0 alone decides such a form, for
+    :func:`positive_factorization` and for
+    :func:`lanternbook.classify.classify`."""
     return len(core) - (len(core) > 1 and core[0][0] == core[-1][0])
+
+
+def _rotations(rf: ReducedForm, prefix, core):
+    """Yield the rotations of ``rf`` one at a time, rotation k turning
+    the core of its :func:`_peel` split ``(prefix, core)`` by k letters.
+    Rotation 0 is the core itself, hence ``rf`` when nothing is peeled.
+    Equal end runs of the core merge once into one cyclic run, and
+    rotation k splits at most one run, whose parts land at the two
+    ends."""
+    first = ReducedForm(rf.r, _pack(core)) if prefix else rf
+    yield first
+    if not core:
+        return
+    if len(core) == 1:      # every rotation of one run is the run itself
+        yield from repeat(first, abs(core[0][1]) - 1)
+        return
+    head = 0
+    if _cyclic_runs(core) < len(core):
+        head = abs(core[-1][1])
+        core = [(core[0][0], core[0][1] + core[-1][1])] + core[1:-1]
+    # each cut is (run, letters into it), listed from the start of the
+    # merged run; the core itself, rotation 0, starts head letters later
+    cuts = [(j, o) for j, (_, a) in enumerate(core)
+            for o in range(0, a, 1 if a > 0 else -1)]
+    for j, o in cuts[head + 1:] + cuts[:head]:
+        x, a = core[j]
+        split = [(x, a - o)] + core[j + 1:] + core[:j]
+        if o:
+            split.append((x, o))
+        yield ReducedForm(rf.r, _pack(split))
 
 
 def cyclic_rotations(rf: ReducedForm):
@@ -220,31 +279,13 @@ def cyclic_rotations(rf: ReducedForm):
 
     The rotations are those of the cyclically reduced core left by
     :func:`_peel`; index k rotates by k core letters, so a core of L
-    letters has L rotations.  Equal end runs of the core merge once into
-    one cyclic run, and rotation k splits at most one run, whose parts
-    land at the two ends.  Rotations of a cyclically reduced sequence
-    stay freely and cyclically reduced, so every member of the returned
-    list has exactly this list as its own rotations; the list is a
-    conjugacy-class invariant, which is what makes merged classification
-    consistent across conjugates.  A pure boundary word has itself as
-    the only rotation."""
-    _, core = _peel(rf)
-    if not core:
-        return [rf]
-    if len(core) == 1:
-        return [ReducedForm(rf.r, _pack(core))] * abs(core[0][1])
-    head = 0
-    if _cyclic_runs(core) < len(core):
-        head = abs(core[-1][1])
-        core = [(core[0][0], core[0][1] + core[-1][1])] + core[1:-1]
-    out = []
-    for j, (x, a) in enumerate(core):
-        rest = core[j + 1:] + core[:j]
-        for o in range(0, a, 1 if a > 0 else -1):   # o letters into run j
-            split = [(x, a - o)] + rest + ([(x, o)] if o else [])
-            out.append(ReducedForm(rf.r, _pack(split)))
-    # out starts where the merged run starts, head letters before the core
-    return out[head:] + out[:head]
+    letters has L rotations (built by :func:`_rotations`).  Rotations
+    of a cyclically reduced sequence stay freely and cyclically reduced,
+    so every member of the returned list has exactly this list as its
+    own rotations; the list is a conjugacy-class invariant, which is
+    what makes merged classification consistent across conjugates.  A
+    pure boundary word has itself as the only rotation."""
+    return list(_rotations(rf, *_peel(rf)))
 
 
 def rotation_conjugator(rf: ReducedForm, k: int) -> Word:
@@ -342,8 +383,8 @@ def _factor_words(rf: ReducedForm, rule: str):
         spent = -sum(x for block in blocks for x in block if x < 0)
         out = list(_boundary_word(tuple(x - spent for x in rf.r)))
         for m, n in blocks:
-            out.extend(power(_HF, -m) if m < 0 else ((("e", m),) if m else ()))
-            out.extend(power(_GE, -n) if n < 0 else ((("f", n),) if n else ()))
+            out.extend(_HF * -m if m < 0 else ((("e", m),) if m else ()))
+            out.extend(_GE * -n if n < 0 else ((("f", n),) if n else ()))
         return free_reduce(out), ()
     m1, n1 = blocks[0]
     if rule == "H2":
@@ -351,29 +392,37 @@ def _factor_words(rf: ReducedForm, rule: str):
         boundary = _boundary_word(tuple(x - spent for x in rf.r))
         if m1 == -1:
             # e^-1 f^-1 -> (abcd)^-1 h, then each remaining f^-1
-            middle = concat((("h", 1),), power(_GE, -n1 - 1))
+            middle = concat((("h", 1),), _GE * (-n1 - 1))
         else:
             # n1 == -1: each e^-1 but the last, then the junction pair
-            middle = concat(power(_HF, -m1 - 1), (("h", 1),))
+            middle = concat(_HF * (-m1 - 1), (("h", 1),))
         return free_reduce(concat(boundary, middle)), ()
     # H3: first e^-1 -> (abcd)^-1 f g, junction pair -> (abcd)^-1 h,
     # remaining powers in place, and the leading f cancels the final
     # f^-1 after conjugating by f.
     spent = -m1 - n1 - 2
     boundary = _boundary_word(tuple(x - spent for x in rf.r))
-    middle = concat((("g", 1),), power(_HF, -m1 - 2), (("h", 1),),
-                    power(_GE, -n1 - 2))
+    middle = concat((("g", 1),), _HF * (-m1 - 2), (("h", 1),),
+                    _GE * (-n1 - 2))
     return free_reduce(concat(boundary, middle)), parse("f")
 
 
 def positive_factorization(rf: ReducedForm):
     """A :class:`PositiveFactorization` for the first cyclic rotation of
     ``rf`` satisfying a fillability rule, or None when no rotation does.
-    The output word has strictly positive exponents and is certified
-    equal (after undoing the recorded conjugator) to the expansion of
-    that rotation by the exact equality oracle; certification failure
-    is an invariant-violation fault, not a None."""
-    for k, rho in enumerate(cyclic_rotations(rf)):
+    The rotations are built and tested one at a time, in the order of
+    :func:`cyclic_rotations`, and a core of four or more cyclic runs
+    tests rotation 0 alone (its rotations share one rule, see
+    :func:`_cyclic_runs`).  The output word has strictly positive
+    exponents and is certified equal (after undoing the recorded
+    conjugator) to the expansion of that rotation by the exact equality
+    oracle; certification failure is an invariant-violation fault, not
+    a None."""
+    prefix, core = _peel(rf)
+    rotations = _rotations(rf, prefix, core)
+    if _cyclic_runs(core) >= 4:
+        rotations = (next(rotations),)
+    for k, rho in enumerate(rotations):
         rule = _h_rule(rho)
         if rule is None:
             continue

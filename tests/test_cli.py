@@ -139,6 +139,11 @@ def test_factorize_not_applicable(capsys):
     assert code == 0 and json.loads(out) == {"factorization": None}
 
 
+def test_factorize_prints_the_empty_product(capsys):
+    code, out, _ = run_cli(capsys, "factorize", "")
+    assert (code, out) == (0, "(empty product)\n")
+
+
 def test_factorize_json_payload(capsys):
     code, out, _ = run_cli(capsys, "factorize", "--format", "json",
                            "a b c d e^-1")

@@ -10,10 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lanternbook.invariant import equal_in_mcg
-from lanternbook.errors import PreconditionError
-from lanternbook.lantern import (ReducedForm, canonical_form,
-                                 cyclic_rotations, expand, mirror_ef,
-                                 positive_factorization, reduce,
+from lanternbook.errors import InvariantViolation, PreconditionError
+from lanternbook.lantern import (PositiveFactorization, ReducedForm,
+                                 _cyclic_runs, _factor_words, _h_rule, _peel,
+                                 canonical_form, cyclic_rotations, expand,
+                                 mirror_ef, positive_factorization, reduce,
                                  rf_from_json, rf_to_json,
                                  rotation_conjugator, substitute_gh)
 from lanternbook.words import (concat, exponent_class, format_word,
@@ -71,6 +72,17 @@ def test_substitute_gh_examples():
     assert equal_in_mcg(out, parse("e f a^-1 b^-1 c^-1 d^-1"))
     assert all(l not in "gh"
                for l, _ in substitute_gh(parse("g^2 h^-3 e g^-1")))
+
+
+def test_g_and_h_exponents_must_be_ints():
+    for letter in "gh":
+        for exp in (True, False, 2.0):
+            with pytest.raises(PreconditionError) as expected:
+                merge_terms([(letter, exp)])
+            for call in (substitute_gh, reduce):
+                with pytest.raises(PreconditionError) as got:
+                    call([("e", 1), (letter, exp)])
+                assert str(got.value) == str(expected.value), (letter, exp)
 
 
 @given(words)
@@ -372,3 +384,83 @@ def test_factorizations_recertify_externally():
         u = f.conjugator
         lhs = concat(u, f.word, invert(u))
         assert equal_in_mcg(lhs, expand(rho)), rf
+
+
+def test_rotations_and_factorizations_refuse_what_is_not_a_form():
+    for bad in ("a b c d", None, parse("a b c d")):
+        for call in (positive_factorization, cyclic_rotations,
+                     lambda x: rotation_conjugator(x, 1)):
+            with pytest.raises(PreconditionError, match="not a ReducedForm"):
+                call(bad)
+
+
+# Every rotation built up front and the first one with a rule taken:
+# the factorization as it was before rotations were built lazily.
+
+def _reference_factorization(rf):
+    for k, rho in enumerate(cyclic_rotations(rf)):
+        rule = _h_rule(rho)
+        if rule is None:
+            continue
+        word, conjugator = _factor_words(rho, rule)
+        if any(exp <= 0 for _, exp in word):
+            raise InvariantViolation("factorization is not positive")
+        if not equal_in_mcg(concat(conjugator, word, invert(conjugator)),
+                            expand(rho)):
+            raise InvariantViolation("factorization failed certification")
+        return PositiveFactorization(word, rule, k, conjugator)
+    return None
+
+
+def _seeded_forms(seed, count):
+    """Forms whose interior is a random core of 0-7 runs, conjugated
+    in 40 % of the draws, with boundary exponents -1..9."""
+    rng = random.Random(seed)
+
+    def run():
+        return (rng.choice("ef"), rng.choice((-3, -2, -1, -1, 1, 1, 2, 3)))
+
+    for _ in range(count):
+        core = [run() for _ in range(rng.randint(0, 7))]
+        u = [run() for _ in range(rng.randint(1, 3))] \
+            if rng.random() < 0.4 else []
+        yield ReducedForm(tuple(rng.randint(-1, 9) for _ in range(4)),
+                          reduce(concat(u, core, invert(u))).blocks)
+
+
+def test_factorization_matches_the_every_rotation_reference():
+    seen = dict.fromkeys(("peeled", "merged ends", "long core", "none",
+                          "rotation > 0"), 0)
+    for rf in _seeded_forms(1414, 20000):
+        assert cyclic_rotations(rf) == _reference_rotations(rf), rf
+        pf = positive_factorization(rf)
+        assert pf == _reference_factorization(rf), rf
+        prefix, core = _peel(rf)
+        seen["peeled"] += bool(prefix)
+        seen["merged ends"] += _cyclic_runs(core) < len(core)
+        seen["long core"] += _cyclic_runs(core) >= 4
+        seen["none"] += pf is None
+        seen["rotation > 0"] += pf is not None and pf.rotation > 0
+    assert min(seen.values()) >= 100, seen
+
+
+def test_rotation_zero_is_the_form_itself_when_nothing_is_peeled():
+    unpeeled = 0
+    for rf in _seeded_forms(1415, 5000):
+        if not _peel(rf)[0]:
+            assert cyclic_rotations(rf)[0] is rf, rf
+            unpeeled += 1
+    assert unpeeled >= 2000
+
+
+def test_every_rotation_of_a_long_core_has_one_h_rule():
+    rules = set()
+    for rf in _seeded_forms(1416, 5000):
+        if _cyclic_runs(_peel(rf)[1]) < 4:
+            continue
+        rotations = cyclic_rotations(rf)
+        found = {_h_rule(rho) for rho in rotations} \
+            | {_h_rule(mirror_ef(rho)) for rho in rotations}
+        assert len(found) == 1, rf
+        rules |= found
+    assert rules == {"H4", None}
