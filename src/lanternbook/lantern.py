@@ -35,13 +35,12 @@ alternating.
 
 :func:`positive_factorization` implements the constructive fillability
 argument on the first rotation that meets a rule.  It builds and tests
-the rotations one at a time, in the order of :func:`cyclic_rotations`;
-rotation 0 is the form itself when nothing is peeled, and a core of
-four or more cyclic runs tests rotation 0 alone.  Negative interior
-powers are eliminated through the lantern substitutions (each e^-1
-costs one a^-1 b^-1 c^-1 d^-1 h f, each f^-1 one a^-1 b^-1 c^-1 d^-1
-g e, with cheaper junction variants when s = 1), consuming boundary
-twists.  Every produced word is certified by the exact equality oracle
+the rotations one at a time, in the order of :func:`cyclic_rotations`,
+and stops at the first one with a rule; rotation 0 is the form itself
+when nothing is peeled.  Negative interior powers are eliminated
+through the lantern substitutions (each e^-1 costs one a^-1 b^-1 c^-1
+d^-1 h f, each f^-1 one a^-1 b^-1 c^-1 d^-1 g e, with cheaper junction
+variants when s = 1), consuming boundary twists.  Every produced word is certified by the exact equality oracle
 of :mod:`lanternbook.invariant` (slope matrices plus exponent class)
 before being returned.
 """
@@ -237,8 +236,7 @@ def _cyclic_runs(core) -> int:
       which is the core's (the peeled prefix and its inverse would add
       to it).
 
-    So rotation 0 alone decides such a form, for
-    :func:`positive_factorization` and for
+    So rotation 0 alone decides such a form for
     :func:`lanternbook.classify.classify`."""
     return len(core) - (len(core) > 1 and core[0][0] == core[-1][0])
 
@@ -411,18 +409,12 @@ def positive_factorization(rf: ReducedForm):
     """A :class:`PositiveFactorization` for the first cyclic rotation of
     ``rf`` satisfying a fillability rule, or None when no rotation does.
     The rotations are built and tested one at a time, in the order of
-    :func:`cyclic_rotations`, and a core of four or more cyclic runs
-    tests rotation 0 alone (its rotations share one rule, see
-    :func:`_cyclic_runs`).  The output word has strictly positive
+    :func:`cyclic_rotations`.  The output word has strictly positive
     exponents and is certified equal (after undoing the recorded
     conjugator) to the expansion of that rotation by the exact equality
     oracle; certification failure is an invariant-violation fault, not
     a None."""
-    prefix, core = _peel(rf)
-    rotations = _rotations(rf, prefix, core)
-    if _cyclic_runs(core) >= 4:
-        rotations = (next(rotations),)
-    for k, rho in enumerate(rotations):
+    for k, rho in enumerate(_rotations(rf, *_peel(rf))):
         rule = _h_rule(rho)
         if rule is None:
             continue
