@@ -43,8 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolation
-from .lantern import (ReducedForm, _cyclic_runs, _h_rule, _peel, _rotations,
-                      cyclic_rotations, mirror_ef)
+from .lantern import (ReducedForm, _cyclic_runs, _h_rule, _peel,
+                      _require_form, _rotations, cyclic_rotations, mirror_ef)
 
 FILLABLE = "HolomorphicallyFillable"
 OVERTWISTED = "Overtwisted"
@@ -73,6 +73,7 @@ def match_ot_shape(rf: ReducedForm):
     allow at most two outer-letter runs around one middle run: covers
     s <= 1 always, s = 2 exactly when an edge exponent vanishes, and
     nothing longer.  Returns None otherwise."""
+    _require_form(rf)
     blocks = rf.blocks
     if len(blocks) == 0:
         return OTShape(rf.r, 0, 0, E_F_E)
@@ -145,6 +146,7 @@ def classify_rules(rf: ReducedForm, ot1_broad: bool = False) -> Classification:
     """Evaluate every rule literally on one reduced form (no rotations,
     no mirror) and return all matching tags with the precedence verdict
     Overtwisted > Fillable > RightVeering > Unknown."""
+    _require_form(rf)
     tags = _tags(rf, ot1_broad)
     tags = tuple(t for t in _RULE_ORDER if t in tags)
     return Classification(_verdict(tags), tags, 0, False, ot1_broad)
@@ -171,15 +173,16 @@ def classify(rf: ReducedForm, ot1_broad: bool = False) -> Classification:
     When the core left by :func:`lantern._peel` has four or more cyclic
     runs, only rotation 0 unmirrored (``cyclic_rotations(rf)[0]``) is
     evaluated and its tags are recorded at (0, False).  This is exact:
+    every candidate carries the same fillability rule, H4 or None, by
+    the argument of :func:`lantern._cyclic_runs`, and
 
-    - Every candidate packs into at least 3 blocks, or into 2 blocks
-      with no zero edge exponent, and carries the same fillability rule,
-      H4 or None (:func:`lantern._cyclic_runs`).
-    - :func:`match_ot_shape` is None on every candidate, so of the other
-      rules only broad OT1 remains, and it reads min r, which rotating
-      and mirroring keep.
-    - So all candidates carry the same tags, and rotation 0 unmirrored
-      is the first of them, as the full merge would record.
+    - :func:`match_ot_shape` is None on every candidate (each packs into
+      at least 3 blocks, or into 2 with no zero edge exponent), so of
+      the other rules only broad OT1 remains, and it reads min r, which
+      rotating and mirroring keep.
+
+    So all candidates carry the same tags, and rotation 0 unmirrored is
+    the first of them, as the full merge would record.
     """
     prefix, core = _peel(rf)
     if _cyclic_runs(core) >= 4:

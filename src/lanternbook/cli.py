@@ -30,6 +30,7 @@ byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+from itertools import product
 import json
 import re
 import sys
@@ -137,24 +138,11 @@ def _parse_ranges(spec):
 
 
 def _census_rows(coords, ot1_broad):
-    letters = {"r1": "a", "r2": "b", "r3": "c", "r4": "d",
-               "m": "e", "n": "f"}
-    values = [lo for _, lo, _ in coords]
-    while True:
-        word = []
-        for (name, _, _), v in zip(coords, values):
-            letter = letters.get(name) or letters[name[0]]
-            if v:
-                word.append((letter, v))
-        rf = reduce(tuple(word))
+    names = {"r1": "a", "r2": "b", "r3": "c", "r4": "d", "m": "e", "n": "f"}
+    letters = [names.get(name) or names[name[0]] for name, _, _ in coords]
+    for values in product(*(range(lo, hi + 1) for _, lo, hi in coords)):
+        rf = reduce(tuple((x, v) for x, v in zip(letters, values) if v))
         yield values, rf, classify(rf, ot1_broad)
-        k = len(values) - 1
-        while k >= 0 and values[k] == coords[k][2]:
-            values[k] = coords[k][1]
-            k -= 1
-        if k < 0:
-            return
-        values[k] += 1
 
 
 def _run(args):

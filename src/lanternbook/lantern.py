@@ -40,9 +40,11 @@ and stops at the first one with a rule; rotation 0 is the form itself
 when nothing is peeled.  Negative interior powers are eliminated
 through the lantern substitutions (each e^-1 costs one a^-1 b^-1 c^-1
 d^-1 h f, each f^-1 one a^-1 b^-1 c^-1 d^-1 g e, with cheaper junction
-variants when s = 1), consuming boundary twists.  Every produced word is certified by the exact equality oracle
-of :mod:`lanternbook.invariant` (slope matrices plus exponent class)
-before being returned.
+variants when s = 1), consuming boundary twists.  Each rule's cost in
+boundary twists is stated once, by :func:`_rule_and_cost`, and the rule
+holds exactly when min r covers it.  Every produced word is certified
+by the exact equality oracle of :mod:`lanternbook.invariant` (slope
+matrices plus exponent class) before being returned.
 """
 
 from __future__ import annotations
@@ -54,14 +56,14 @@ import json
 from .errors import InvariantViolation, PreconditionError
 from .invariant import equal_in_mcg
 from .words import (
-    BOUNDARY, Word, concat, format_word, free_reduce, invert, merge_terms,
-    parse,
+    BOUNDARY, Word, _merge, concat, format_word, free_reduce, invert, parse,
 )
 
 _G_POS = parse("a b c d f^-1 e^-1")
-_G_NEG = parse("e f a^-1 b^-1 c^-1 d^-1")
 _H_POS = parse("a b c d e^-1 f^-1")
-_H_NEG = parse("f e a^-1 b^-1 c^-1 d^-1")
+# the lantern substitution of each letter and sign of its exponent
+_LANTERN = {("g", True): _G_POS, ("g", False): invert(_G_POS),
+            ("h", True): _H_POS, ("h", False): invert(_H_POS)}
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,13 @@ class ReducedForm:
         return format_word(word) if word else "(identity)"
 
 
+def _require_form(rf) -> None:
+    if not isinstance(rf, ReducedForm):
+        raise PreconditionError("not a ReducedForm: %r" % (rf,))
+
+
 def rf_to_json(rf: ReducedForm) -> str:
+    _require_form(rf)
     return json.dumps({"r": list(rf.r),
                        "blocks": [list(b) for b in rf.blocks]})
 
@@ -131,29 +139,22 @@ def rf_from_json(doc) -> ReducedForm:
         raise PreconditionError("not a reduced-form document: %s" % exc)
 
 
+def _substituted(terms):
+    """Yield ``terms`` with every g^k and h^k written as |k| copies of
+    its lantern substitution (of the inverse when k < 0).  A malformed
+    term is passed on as it is, for the merge to refuse."""
+    for letter, exp in terms:
+        if (letter == "g" or letter == "h") and type(exp) is int:
+            yield from _LANTERN[letter, exp > 0] * abs(exp)
+        else:
+            yield letter, exp
+
+
 def substitute_gh(w) -> Word:
     """Eliminate g and h through the lantern substitutions
-    g = a b c d f^-1 e^-1, h = a b c d e^-1 f^-1 (inverses presented
-    with the boundary twists trailing, using centrality); the result is
-    freely reduced and has the same exponent class."""
-    terms = parse(w) if isinstance(w, str) else w
-    out = []
-    try:
-        terms = tuple(terms)
-        for letter, exp in terms:
-            if letter != "g" and letter != "h":
-                out.append((letter, exp))
-                continue
-            if type(exp) is not int:
-                raise TypeError   # refused below, as merge_terms refuses it
-            if letter == "g":
-                out.extend((_G_POS if exp > 0 else _G_NEG) * abs(exp))
-            else:
-                out.extend((_H_POS if exp > 0 else _H_NEG) * abs(exp))
-    except (TypeError, ValueError):
-        merge_terms(terms)  # raises the PreconditionError naming the term
-        raise
-    return free_reduce(out)
+    g = a b c d f^-1 e^-1, h = a b c d e^-1 f^-1; the result is freely
+    reduced and has the same exponent class."""
+    return free_reduce(_substituted(parse(w) if isinstance(w, str) else w))
 
 
 def _pack(interior) -> tuple:
@@ -170,16 +171,9 @@ def reduce(w) -> ReducedForm:
     powers to a fixpoint, and pack the alternating remainder into
     blocks.  The expansion of the result is equal to ``w`` in the
     mapping class group, and equal words get equal forms."""
-    terms = substitute_gh(w)
-    r = {letter: 0 for letter in BOUNDARY}
-    interior = []
-    for letter, exp in terms:
-        if letter in BOUNDARY:
-            r[letter] += exp
-        else:
-            interior.append((letter, exp))
-    return ReducedForm(tuple(r[letter] for letter in BOUNDARY),
-                       _pack(interior))
+    r = dict.fromkeys(BOUNDARY, 0)
+    interior = _merge(_substituted(parse(w) if isinstance(w, str) else w), r)
+    return ReducedForm(tuple(r.values()), _pack(interior))
 
 
 def _runs(rf: ReducedForm) -> list:
@@ -191,6 +185,7 @@ def _runs(rf: ReducedForm) -> list:
 def expand(rf: ReducedForm) -> Word:
     """The word a^{r1} b^{r2} c^{r3} d^{r4} e^{m_1} f^{n_1} ... named by
     the reduced form (zero exponents omitted)."""
+    _require_form(rf)
     boundary = [(letter, exp) for letter, exp in zip(BOUNDARY, rf.r) if exp]
     return tuple(boundary + _runs(rf))
 
@@ -202,8 +197,7 @@ def _peel(rf: ReducedForm):
     of opposite signs each give up min(|a|, |b|) letters to p; peeling
     goes on only when both vanish.  The core of a nonempty interior is
     nonempty, and equal end letters of a core have equal signs."""
-    if not isinstance(rf, ReducedForm):
-        raise PreconditionError("not a ReducedForm: %r" % (rf,))
+    _require_form(rf)
     runs = _runs(rf)
     prefix = []
     lo, hi = 0, len(runs) - 1
@@ -314,6 +308,7 @@ def mirror_ef(rf: ReducedForm) -> ReducedForm:
     exchanges e with f (and relabels the boundary a <-> c, fixing b and
     d, hence r -> (r3, r2, r1, r4)).  Swapping the letters of the runs
     keeps them alternating, so they are repacked without reduction."""
+    _require_form(rf)
     r1, r2, r3, r4 = rf.r
     swapped = [("f" if letter == "e" else "e", exp)
                for letter, exp in _runs(rf)]
@@ -341,68 +336,62 @@ class PositiveFactorization:
         return format_word(self.word) if self.word else "(empty product)"
 
 
-def _boundary_word(r) -> Word:
-    if min(r) < 0:
-        raise InvariantViolation("factorization spent too many boundary "
-                                 "twists", r=r)
-    return tuple((letter, exp) for letter, exp in zip(BOUNDARY, r) if exp)
-
-
 _HF = parse("h f")    # replaces e^-1, costs one boundary multiindex
 _GE = parse("g e")    # replaces f^-1
 
 
+def _rule_and_cost(blocks):
+    """The one fillability rule whose shape ``blocks`` (at least one
+    block) have, and the number of boundary multiindices its
+    factorization spends; the rule holds exactly when min r covers that
+    cost.  Each e^-1 and f^-1 costs one (by ``_HF`` and ``_GE``), except
+    at the junction of one all-negative block: H2 saves one there and
+    H3, which also conjugates by f, saves two."""
+    m1, n1 = blocks[0]
+    if len(blocks) > 1 or max(m1, n1) >= 0:
+        rule = "H4" if len(blocks) > 1 else "H1"
+        return rule, -sum(x for block in blocks for x in block if x < 0)
+    if max(m1, n1) == -1:
+        return "H2", -m1 - n1 - 1
+    return "H3", -m1 - n1 - 2
+
+
 def _h_rule(rf: ReducedForm):
-    """The fillability rule the exponents of ``rf`` satisfy, or None.
-    H1-H3 apply to one block and are mutually exclusive, H4 to more, so
-    at most one holds.  This is the package's one statement of the
-    rules; :mod:`lanternbook.classify` tags with it."""
-    rmin = min(rf.r)
-    blocks = rf.blocks if rf.blocks else ((0, 0),)
-    if len(blocks) == 1:
-        m1, n1 = blocks[0]
-        if max(m1, n1) >= 0 and rmin >= max(-m1, -n1, 0):
-            return "H1"
-        if m1 < 0 and n1 < 0 and max(m1, n1) == -1 and rmin >= -m1 - n1 - 1:
-            return "H2"
-        if m1 < 0 and n1 < 0 and max(m1, n1) < -1 and rmin >= -m1 - n1 - 2:
-            return "H3"
-        return None
-    if rmin >= -sum(x for block in blocks for x in block if x < 0):
-        return "H4"
-    return None
+    """The fillability rule the exponents of ``rf`` satisfy, or None:
+    the one rule of its shape (:func:`_rule_and_cost`), when min r covers
+    that rule's cost.  This is the package's one statement of the rules;
+    :mod:`lanternbook.classify` tags with it."""
+    rule, cost = _rule_and_cost(rf.blocks or ((0, 0),))
+    return rule if min(rf.r) >= cost else None
 
 
 def _factor_words(rf: ReducedForm, rule: str):
     """The positive word and conjugator for a reduced form satisfying
-    ``rule``, by the constructive substitutions (see module docstring)."""
-    blocks = rf.blocks if rf.blocks else ((0, 0),)
-    if rule in ("H1", "H4"):
-        spent = -sum(x for block in blocks for x in block if x < 0)
-        out = list(_boundary_word(tuple(x - spent for x in rf.r)))
-        for m, n in blocks:
-            out.extend(_HF * -m if m < 0 else ((("e", m),) if m else ()))
-            out.extend(_GE * -n if n < 0 else ((("f", n),) if n else ()))
-        return free_reduce(out), ()
+    ``rule``, by the constructive substitutions (see module docstring):
+    the boundary twists left after the rule's cost, then the interior
+    with its negative powers substituted, merged once."""
+    blocks = rf.blocks or ((0, 0),)
+    _, cost = _rule_and_cost(blocks)
+    terms = [(letter, x - cost) for letter, x in zip(BOUNDARY, rf.r)]
     m1, n1 = blocks[0]
-    if rule == "H2":
-        spent = -m1 - n1 - 1
-        boundary = _boundary_word(tuple(x - spent for x in rf.r))
-        if m1 == -1:
-            # e^-1 f^-1 -> (abcd)^-1 h, then each remaining f^-1
-            middle = concat((("h", 1),), _GE * (-n1 - 1))
-        else:
-            # n1 == -1: each e^-1 but the last, then the junction pair
-            middle = concat(_HF * (-m1 - 1), (("h", 1),))
-        return free_reduce(concat(boundary, middle)), ()
-    # H3: first e^-1 -> (abcd)^-1 f g, junction pair -> (abcd)^-1 h,
-    # remaining powers in place, and the leading f cancels the final
-    # f^-1 after conjugating by f.
-    spent = -m1 - n1 - 2
-    boundary = _boundary_word(tuple(x - spent for x in rf.r))
-    middle = concat((("g", 1),), _HF * (-m1 - 2), (("h", 1),),
-                    _GE * (-n1 - 2))
-    return free_reduce(concat(boundary, middle)), parse("f")
+    if rule in ("H1", "H4"):
+        for m, n in blocks:
+            terms += _HF * -m if m < 0 else (("e", m),)
+            terms += _GE * -n if n < 0 else (("f", n),)
+    elif rule == "H2" and m1 == -1:
+        # e^-1 f^-1 -> (abcd)^-1 h, then each remaining f^-1
+        terms += (("h", 1),) + _GE * (-n1 - 1)
+    elif rule == "H2":
+        # n1 == -1: each e^-1 but the last, then the junction pair
+        terms += _HF * (-m1 - 1) + (("h", 1),)
+    else:
+        # H3: first e^-1 -> (abcd)^-1 f g, junction pair -> (abcd)^-1 h,
+        # remaining powers in place, and the leading f cancels the final
+        # f^-1 after conjugating by f.
+        terms += (("g", 1),) + _HF * (-m1 - 2) + (("h", 1),) \
+            + _GE * (-n1 - 2)
+        return free_reduce(terms), (("f", 1),)
+    return free_reduce(terms), ()
 
 
 def positive_factorization(rf: ReducedForm):

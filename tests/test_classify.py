@@ -12,7 +12,7 @@ from lanternbook.classify import (E_F_E, F_E_F, FILLABLE, OVERTWISTED,
                                   _RULE_ORDER, _tags, _verdict, classify,
                                   classify_rules, match_ot_shape)
 from lanternbook.engine import is_right_veering_upto
-from lanternbook.errors import InvariantViolation
+from lanternbook.errors import InvariantViolation, PreconditionError
 from lanternbook.lantern import (ReducedForm, _cyclic_runs, _pack, _peel,
                                  cyclic_rotations, expand, mirror_ef)
 from tests.test_lantern import form_strategy
@@ -87,6 +87,13 @@ def test_unknown_when_no_rule_applies():
 
 
 # -- the merged classification ----------------------------------------------
+
+def test_rules_refuse_what_is_not_a_form():
+    for bad in ("a b c d", None, ((1, 1, 1, 1), ())):
+        for call in (classify, classify_rules, match_ot_shape):
+            with pytest.raises(PreconditionError, match="not a ReducedForm"):
+                call(bad)
+
 
 def test_classify_examples():
     a = classify(ReducedForm((0, 0, 0, 0), ((2, 2),)))
