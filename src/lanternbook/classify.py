@@ -28,10 +28,10 @@ symmetry of the surface, so :func:`classify` merges the rules over
 every cyclic rotation and its mirror: any OT tag gives verdict
 Overtwisted, else any H tag Fillable, else any R tag RightVeering, else
 Unknown.  An H tag and an OT tag together anywhere in one merge would
-disprove the rule set and raises an invariant-violation fault.  When
-the cyclically reduced core has four or more cyclic runs, every
-rotation and mirror carries the same tags (the argument is in
-:func:`classify`), so only rotation 0, unmirrored, is evaluated.
+disprove the rule set and raises an invariant-violation fault.  The
+rotations fall into at most three classes whose members and their
+mirrors carry the same tags (``lantern._rotation_classes``), so the
+merge reads the first rotation of each class and its mirror.
 
 OT1's literal statement needs no shape at all; by default it is applied
 only within the stated shape, and ``ot1_broad=True`` opts into the
@@ -43,8 +43,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolation
-from .lantern import (ReducedForm, _cyclic_runs, _h_rule, _peel,
-                      _require_form, _rotations, cyclic_rotations, mirror_ef)
+from .lantern import (ReducedForm, _h_rule, _mirrored, _require_form,
+                      _rotation_classes)
+# re-exported: perfbench/tracing.py wraps it under this module's name
+from .lantern import cyclic_rotations  # noqa: F401
 
 FILLABLE = "HolomorphicallyFillable"
 OVERTWISTED = "Overtwisted"
@@ -68,25 +70,31 @@ class OTShape:
     pattern: str
 
 
+def _shape(blocks):
+    """The (m, n, pattern) of the special shape of interior ``blocks``,
+    or None: see :func:`match_ot_shape`."""
+    if len(blocks) == 0:
+        return 0, 0, E_F_E
+    if len(blocks) == 1:
+        m1, n1 = blocks[0]
+        return m1, n1, E_F_E
+    if len(blocks) == 2:
+        (m1, n1), (m2, n2) = blocks
+        if n2 == 0:
+            return m1 + m2, n1, E_F_E
+        if m1 == 0:
+            return m2, n1 + n2, F_E_F
+    return None
+
+
 def match_ot_shape(rf: ReducedForm):
     """Extract the special shape from a reduced form when its blocks
     allow at most two outer-letter runs around one middle run: covers
     s <= 1 always, s = 2 exactly when an edge exponent vanishes, and
     nothing longer.  Returns None otherwise."""
     _require_form(rf)
-    blocks = rf.blocks
-    if len(blocks) == 0:
-        return OTShape(rf.r, 0, 0, E_F_E)
-    if len(blocks) == 1:
-        m1, n1 = blocks[0]
-        return OTShape(rf.r, m1, n1, E_F_E)
-    if len(blocks) == 2:
-        (m1, n1), (m2, n2) = blocks
-        if n2 == 0:
-            return OTShape(rf.r, m1 + m2, n1, E_F_E)
-        if m1 == 0:
-            return OTShape(rf.r, m2, n1 + n2, F_E_F)
-    return None
+    shape = _shape(rf.blocks)
+    return None if shape is None else OTShape(rf.r, *shape)
 
 
 @dataclass(frozen=True)
@@ -108,19 +116,20 @@ class Classification:
         return doc
 
 
-def _tags(rf: ReducedForm, ot1_broad: bool):
-    """Every tag whose rule ``rf`` satisfies literally.  H1-H3 are
-    mutually exclusive and H4 needs more blocks, so the fillable tags are
-    the single rule :func:`lantern._h_rule` finds, if any."""
-    rule = _h_rule(rf)
+def _tags(r, blocks, ot1_broad: bool):
+    """Every tag whose rule the exponents (r, blocks) of a reduced form
+    satisfy literally: the one statement of the rules in this module.
+    H1-H3 are mutually exclusive and H4 needs more blocks, so the
+    fillable tags are the single rule :func:`lantern._h_rule` finds,
+    if any."""
+    rule = _h_rule(r, blocks)
     tags = [rule] if rule else []
-    shape = match_ot_shape(rf)
-    r = rf.r
+    shape = _shape(blocks)
     if shape is None:
         if ot1_broad and min(r) < 0:
             tags.append("OT1")
         return tags
-    m, n = shape.m, shape.n
+    m, n, _ = shape
     r1, r2, r3, r4 = r
     rmin = min(r)
     if rmin < 0:
@@ -147,7 +156,7 @@ def classify_rules(rf: ReducedForm, ot1_broad: bool = False) -> Classification:
     no mirror) and return all matching tags with the precedence verdict
     Overtwisted > Fillable > RightVeering > Unknown."""
     _require_form(rf)
-    tags = _tags(rf, ot1_broad)
+    tags = _tags(rf.r, rf.blocks, ot1_broad)
     tags = tuple(t for t in _RULE_ORDER if t in tags)
     return Classification(_verdict(tags), tags, 0, False, ot1_broad)
 
@@ -170,44 +179,27 @@ def classify(rf: ReducedForm, ot1_broad: bool = False) -> Classification:
     in the same merge is an invariant-violation fault -- it would
     falsify the rule set, and must never be silently merged away.
 
-    When the core left by :func:`lantern._peel` has four or more cyclic
-    runs, only rotation 0 unmirrored (``cyclic_rotations(rf)[0]``) is
-    evaluated and its tags are recorded at (0, False).  This is exact:
-    every candidate carries the same fillability rule, H4 or None, by
-    the argument of :func:`lantern._cyclic_runs`, and
-
-    - :func:`match_ot_shape` is None on every candidate (each packs into
-      at least 3 blocks, or into 2 with no zero edge exponent), so of
-      the other rules only broad OT1 remains, and it reads min r, which
-      rotating and mirroring keep.
-
-    So all candidates carry the same tags, and rotation 0 unmirrored is
-    the first of them, as the full merge would record.
-    """
-    prefix, core = _peel(rf)
-    if _cyclic_runs(core) >= 4:
-        rotations, mirrors = [next(_rotations(rf, prefix, core))], (False,)
-    else:
-        rotations, mirrors = cyclic_rotations(rf), (False, True)
-    merged = []
+    The rules are read on the exponent tuples of the first rotation of
+    each tag class (:func:`lantern._rotation_classes`) and of its
+    mirror, whose tags every other candidate of the class repeats, so
+    the merged tags and the recorded pair are those of the merge over
+    every candidate.  A form with no special shape has the tags of its
+    mirror, which read only min r and the H4 cost (the argument is the
+    one for long cores), so that mirror is skipped."""
     decisive = {}
-    for k, rho in enumerate(rotations):
-        for mirror in mirrors:
-            candidate = mirror_ef(rho) if mirror else rho
-            for t in _tags(candidate, ot1_broad):
-                if t not in merged:
-                    merged.append(t)
-                    decisive.setdefault(t, (k, mirror))
-    has_h = any(t.startswith("H") for t in merged)
-    has_ot = any(t.startswith("OT") for t in merged)
-    if has_h and has_ot:
+    for k, r, blocks in _rotation_classes(rf):
+        for t in _tags(r, blocks, ot1_broad):
+            decisive.setdefault(t, (k, False))
+        if _shape(blocks) is None:
+            continue
+        for t in _tags(*_mirrored(r, blocks), ot1_broad):
+            decisive.setdefault(t, (k, True))
+    tags = tuple(t for t in _RULE_ORDER if t in decisive)
+    if any(t[0] == "H" for t in tags) and any(t[:2] == "OT" for t in tags):
         raise InvariantViolation(
             "fillable and overtwisted tags on one conjugacy class",
-            form=str(rf), tags=sorted(merged))
-    tags = tuple(t for t in _RULE_ORDER if t in merged)
+            form=str(rf), tags=sorted(decisive))
     verdict = _verdict(tags)
-    rotation, mirror = 0, False
     deciders = [decisive[t] for t in tags if _verdict((t,)) == verdict]
-    if deciders:
-        rotation, mirror = min(deciders)
+    rotation, mirror = min(deciders) if deciders else (0, False)
     return Classification(verdict, tags, rotation, mirror, ot1_broad)

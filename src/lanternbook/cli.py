@@ -17,7 +17,8 @@ always takes exactly two arguments.
 line; the default text output keeps the same information in a compact
 human form.  Exit status: 0 on success, 1 on usage or parse errors, 2
 when an internal consistency check failed (the diagnostic is dumped to
-stderr; such a failure is a bug, not a property of the input).
+stderr; such a failure is a bug, not a property of the input), and 1
+when standard output closes early (``| head -1``), without a traceback.
 
 Census ranges are written ``--range "r1=-2..2,m1=-3..3,n1=0..3"`` with
 keys r1..r4 for the boundary exponents and m1,n1,m2,n2,... for the
@@ -32,6 +33,7 @@ from __future__ import annotations
 import argparse
 from itertools import product
 import json
+import os
 import re
 import sys
 
@@ -205,13 +207,17 @@ def _run(args):
                 out.write("%s :: %s :: %s [%s]\n"
                           % (point, rf_to_json(rf), c.verdict,
                              ",".join(c.rules)))
-    return 0
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return _run(args)
+        _run(args)
+        sys.stdout.flush()      # so that a closed pipe shows up here
+        return 0
+    except BrokenPipeError:     # and not again in the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (WordSyntaxError, PreconditionError, MalformedArcError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1

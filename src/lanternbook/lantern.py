@@ -20,37 +20,32 @@ a free group, so the freely reduced e/f word is a normal form.  This is
 a tested property (``reduce(w1) == reduce(w2)`` iff ``equal_in_mcg``).
 
 Conjugate monodromies carry the same contact-geometric labels, so the
-classifier consumes every cyclic rotation of the interior letter
-sequence (:func:`cyclic_rotations`; the boundary part is central and
-stays put) and the e/f relabeling symmetry (:func:`mirror_ef`), unless
-the cyclically reduced core has four or more cyclic runs.  Then every
-rotation and mirror carries the same fillability rule
-(:func:`_cyclic_runs`) and the same tags
-(:func:`lanternbook.classify.classify`), and rotation 0 alone is read.
+classifier merges its rules over every cyclic rotation of the interior
+letter sequence (:func:`cyclic_rotations`; the boundary part is central
+and stays put) and the e/f relabeling symmetry (:func:`mirror_ef`).
 Both work on the interior's alternating (letter, exponent) runs, the
 e/f terms of :func:`expand`, and need no free reduction: the
 conjugating prefix is peeled run by run, each rotation splits at most
 one run, and the mirror only swaps letters, which keeps the runs
-alternating.
+alternating.  The rotations fall into at most three classes that carry
+the same tags (:func:`_rotation_classes` says why), and only the first
+rotation of each is read.
 
 :func:`positive_factorization` implements the constructive fillability
-argument on the first rotation that meets a rule.  It builds and tests
-the rotations one at a time, in the order of :func:`cyclic_rotations`,
-and stops at the first one with a rule; rotation 0 is the form itself
-when nothing is peeled.  Negative interior powers are eliminated
+argument on the first rotation that meets a rule; rotation 0 is the form
+itself when nothing is peeled.  Negative interior powers are eliminated
 through the lantern substitutions (each e^-1 costs one a^-1 b^-1 c^-1
 d^-1 h f, each f^-1 one a^-1 b^-1 c^-1 d^-1 g e, with cheaper junction
 variants when s = 1), consuming boundary twists.  Each rule's cost in
 boundary twists is stated once, by :func:`_rule_and_cost`, and the rule
-holds exactly when min r covers it.  Every produced word is certified
-by the exact equality oracle of :mod:`lanternbook.invariant` (slope
+holds exactly when min r covers it.  Every produced word is certified by
+the exact equality oracle of :mod:`lanternbook.invariant` (slope
 matrices plus exponent class) before being returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 import json
 
 from .errors import InvariantViolation, PreconditionError
@@ -176,18 +171,23 @@ def reduce(w) -> ReducedForm:
     return ReducedForm(tuple(r.values()), _pack(interior))
 
 
-def _runs(rf: ReducedForm) -> list:
-    """The interior part as alternating (letter, exponent) runs with
-    nonzero exponents: the e/f terms of :func:`expand`."""
-    return [t for m, n in rf.blocks for t in (("e", m), ("f", n)) if t[1]]
+def _runs(blocks) -> list:
+    """The interior ``blocks`` as alternating (letter, exponent) runs
+    with nonzero exponents: the e/f terms of :func:`expand`."""
+    return [t for m, n in blocks for t in (("e", m), ("f", n)) if t[1]]
+
+
+def _expanded(r, blocks) -> Word:
+    """:func:`expand` on the raw exponent tuples of a reduced form."""
+    boundary = [(letter, exp) for letter, exp in zip(BOUNDARY, r) if exp]
+    return tuple(boundary + _runs(blocks))
 
 
 def expand(rf: ReducedForm) -> Word:
     """The word a^{r1} b^{r2} c^{r3} d^{r4} e^{m_1} f^{n_1} ... named by
     the reduced form (zero exponents omitted)."""
     _require_form(rf)
-    boundary = [(letter, exp) for letter, exp in zip(BOUNDARY, rf.r) if exp]
-    return tuple(boundary + _runs(rf))
+    return _expanded(rf.r, rf.blocks)
 
 
 def _peel(rf: ReducedForm):
@@ -198,7 +198,7 @@ def _peel(rf: ReducedForm):
     goes on only when both vanish.  The core of a nonempty interior is
     nonempty, and equal end letters of a core have equal signs."""
     _require_form(rf)
-    runs = _runs(rf)
+    runs = _runs(rf.blocks)
     prefix = []
     lo, hi = 0, len(runs) - 1
     while lo < hi and runs[lo][0] == runs[hi][0] \
@@ -212,57 +212,26 @@ def _peel(rf: ReducedForm):
     return prefix, runs[lo:hi + 1]
 
 
-def _cyclic_runs(core) -> int:
-    """The number of runs of a :func:`_peel` core read around the cycle:
-    equal end letters (which carry equal signs) join into one run, so a
-    nonempty core has 1 cyclic run or an even number of them.
-
-    With L >= 4 cyclic runs, every rotation and the :func:`mirror_ef`
-    image of each carry the same :func:`_h_rule`, H4 or None:
-
-    - A rotation has L runs, or L + 1 when it splits one, so it and its
-      mirror pack into at least 3 blocks, or into 2 blocks with no zero
-      edge exponent.  H1-H3 need one block, so only H4 can hold.
-    - H4 reads min r and the sum of the negative interior exponents.
-      Rotating splits a run into parts of its sign or joins the end
-      runs, which have equal signs; mirroring maps r to (r3, r2, r1, r4)
-      and swaps e with f.  Neither changes min r or the negative sum,
-      which is the core's (the peeled prefix and its inverse would add
-      to it).
-
-    So rotation 0 alone decides such a form for
-    :func:`lanternbook.classify.classify`."""
-    return len(core) - (len(core) > 1 and core[0][0] == core[-1][0])
+def _joined(core):
+    """The cyclic runs of a :func:`_peel` core, equal end letters (which
+    carry equal signs) joined into the first run, and the number of
+    letters of that run which precede the core's own start.  A nonempty
+    core has 1 cyclic run or an even number of them."""
+    if len(core) > 1 and core[0][0] == core[-1][0]:
+        return abs(core[-1][1]), \
+            [(core[0][0], core[0][1] + core[-1][1])] + core[1:-1]
+    return 0, core
 
 
-def _rotations(rf: ReducedForm, prefix, core):
-    """Yield the rotations of ``rf`` one at a time, rotation k turning
-    the core of its :func:`_peel` split ``(prefix, core)`` by k letters.
-    Rotation 0 is the core itself, hence ``rf`` when nothing is peeled.
-    Equal end runs of the core merge once into one cyclic run, and
-    rotation k splits at most one run, whose parts land at the two
-    ends."""
-    first = ReducedForm(rf.r, _pack(core)) if prefix else rf
-    yield first
-    if not core:
-        return
-    if len(core) == 1:      # every rotation of one run is the run itself
-        yield from repeat(first, abs(core[0][1]) - 1)
-        return
-    head = 0
-    if _cyclic_runs(core) < len(core):
-        head = abs(core[-1][1])
-        core = [(core[0][0], core[0][1] + core[-1][1])] + core[1:-1]
-    # each cut is (run, letters into it), listed from the start of the
-    # merged run; the core itself, rotation 0, starts head letters later
-    cuts = [(j, o) for j, (_, a) in enumerate(core)
-            for o in range(0, a, 1 if a > 0 else -1)]
-    for j, o in cuts[head + 1:] + cuts[:head]:
-        x, a = core[j]
-        split = [(x, a - o)] + core[j + 1:] + core[:j]
-        if o:
-            split.append((x, o))
-        yield ReducedForm(rf.r, _pack(split))
+def _turned(runs, j, o):
+    """The blocks of the cyclic ``runs`` read from ``o`` letters into run
+    ``j`` (o has the sign of the run, 0 for its start): the split run's
+    parts land at the two ends."""
+    x, a = runs[j]
+    split = [(x, a - o)] + runs[j + 1:] + runs[:j]
+    if o:
+        split.append((x, o))
+    return _pack(split)
 
 
 def cyclic_rotations(rf: ReducedForm):
@@ -271,13 +240,68 @@ def cyclic_rotations(rf: ReducedForm):
 
     The rotations are those of the cyclically reduced core left by
     :func:`_peel`; index k rotates by k core letters, so a core of L
-    letters has L rotations (built by :func:`_rotations`).  Rotations
-    of a cyclically reduced sequence stay freely and cyclically reduced,
-    so every member of the returned list has exactly this list as its
-    own rotations; the list is a conjugacy-class invariant, which is
-    what makes merged classification consistent across conjugates.  A
-    pure boundary word has itself as the only rotation."""
-    return list(_rotations(rf, *_peel(rf)))
+    letters has L rotations.  Rotation 0 is the core itself, hence
+    ``rf`` when nothing is peeled.  Rotations of a cyclically reduced
+    sequence stay freely and cyclically reduced, so every member of the
+    returned list has exactly this list as its own rotations; the list
+    is a conjugacy-class invariant, which is what makes merged
+    classification consistent across conjugates.  A pure boundary word
+    has itself as the only rotation."""
+    prefix, core = _peel(rf)
+    first = ReducedForm(rf.r, _pack(core)) if prefix else rf
+    if len(core) <= 1:      # every rotation of one run is the run itself
+        return [first] * (abs(core[0][1]) if core else 1)
+    head, runs = _joined(core)
+    # each cut is (run, letters into it), listed from the start of the
+    # joined run; rotation 0 starts head letters later
+    cuts = [(j, o) for j, (_, a) in enumerate(runs)
+            for o in range(0, a, 1 if a > 0 else -1)]
+    return [first] + [ReducedForm(rf.r, _turned(runs, j, o))
+                      for j, o in cuts[head + 1:] + cuts[:head]]
+
+
+def _rotation_classes(rf: ReducedForm):
+    """Yield ``(k, r, blocks)``, the exponent tuples of rotation k of
+    :func:`cyclic_rotations`, for the first rotation of each tag class,
+    in rotation order from rotation 0.  The rotations of one class and
+    their :func:`mirror_ef` images have one fillability rule
+    (:func:`_h_rule`) and one special shape of :mod:`lanternbook.classify`
+    (exponents m, n, or none), and the tags read nothing else but r:
+
+    - **0 or 1 cyclic runs:** one class; a run turned is itself.
+    - **L >= 4 cyclic runs:** one class.  A rotation has L or L + 1
+      runs, so it and its mirror pack into 3 blocks or more, or 2 with
+      no zero edge exponent: no special shape, and only H4 can hold,
+      which reads min r and the sum of the negative interior exponents.
+      Rotating splits a run into parts of its sign or joins the end
+      runs, which have equal signs, and mirroring permutes r and swaps
+      e with f; neither changes min r or the sum, which is the core's
+      (the peeled prefix and its inverse would add to it).
+    - **2 cyclic runs, e^m and f^n:** three classes, the rotation that
+      starts at e^m (one block), the one that starts at f^n (whose
+      mirror is one block), and those that split a run: e^(m-o) f^n e^o
+      packs into ((m-o, n), (o, 0)) and f^(n-o) e^m f^o into
+      ((0, n-o), (m, o)).  These all have two blocks, the special shape
+      (m, n) and the H4 cost of the negative parts of m and n, and their
+      mirrors have two blocks, the shape (n, m) and that cost."""
+    prefix, core = _peel(rf)
+    r = rf.r
+    yield 0, r, _pack(core) if prefix else rf.blocks
+    head, runs = _joined(core)
+    if len(runs) != 2:
+        return
+    (_, a), (_, b) = runs       # x^a y^b, rotation 0 starting in x^a
+    k = abs(a) - head           # rotation k starts at y^b
+    if head:                    # rotation 0 splits x^a
+        yield k, r, _turned(runs, 1, 0)
+        yield k + abs(b), r, _turned(runs, 0, 0)
+    elif abs(a) > 1:            # rotation 0 starts at x^a, 1 splits it
+        yield 1, r, _turned(runs, 0, 1 if a > 0 else -1)
+        yield k, r, _turned(runs, 1, 0)
+    else:                       # the first split, if any, is of y^b
+        yield k, r, _turned(runs, 1, 0)
+        if abs(b) > 1:
+            yield k + 1, r, _turned(runs, 1, 1 if b > 0 else -1)
 
 
 def rotation_conjugator(rf: ReducedForm, k: int) -> Word:
@@ -303,16 +327,21 @@ def canonical_form(rf: ReducedForm) -> ReducedForm:
                key=lambda rho: tuple(x for b in rho.blocks for x in b))
 
 
+def _mirrored(r, blocks):
+    """:func:`mirror_ef` on the exponent tuples of a reduced form."""
+    r1, r2, r3, r4 = r
+    swapped = [("f" if letter == "e" else "e", exp)
+               for letter, exp in _runs(blocks)]
+    return (r3, r2, r1, r4), _pack(swapped)
+
+
 def mirror_ef(rf: ReducedForm) -> ReducedForm:
     """The reduced form of the image under the half-turn symmetry that
     exchanges e with f (and relabels the boundary a <-> c, fixing b and
     d, hence r -> (r3, r2, r1, r4)).  Swapping the letters of the runs
     keeps them alternating, so they are repacked without reduction."""
     _require_form(rf)
-    r1, r2, r3, r4 = rf.r
-    swapped = [("f" if letter == "e" else "e", exp)
-               for letter, exp in _runs(rf)]
-    return ReducedForm((r3, r2, r1, r4), _pack(swapped))
+    return ReducedForm(*_mirrored(rf.r, rf.blocks))
 
 
 # ----------------------------------------------------------------------
@@ -356,23 +385,24 @@ def _rule_and_cost(blocks):
     return "H3", -m1 - n1 - 2
 
 
-def _h_rule(rf: ReducedForm):
-    """The fillability rule the exponents of ``rf`` satisfy, or None:
-    the one rule of its shape (:func:`_rule_and_cost`), when min r covers
-    that rule's cost.  This is the package's one statement of the rules;
-    :mod:`lanternbook.classify` tags with it."""
-    rule, cost = _rule_and_cost(rf.blocks or ((0, 0),))
-    return rule if min(rf.r) >= cost else None
+def _h_rule(r, blocks):
+    """The fillability rule the exponents (r, blocks) of a reduced form
+    satisfy, or None: the one rule of its shape (:func:`_rule_and_cost`),
+    when min r covers that rule's cost.  This is the package's one
+    statement of the rules; :mod:`lanternbook.classify` tags with it."""
+    rule, cost = _rule_and_cost(blocks or ((0, 0),))
+    return rule if min(r) >= cost else None
 
 
-def _factor_words(rf: ReducedForm, rule: str):
-    """The positive word and conjugator for a reduced form satisfying
-    ``rule``, by the constructive substitutions (see module docstring):
-    the boundary twists left after the rule's cost, then the interior
-    with its negative powers substituted, merged once."""
-    blocks = rf.blocks or ((0, 0),)
+def _factor_words(r, blocks, rule: str):
+    """The positive word and conjugator for the exponents (r, blocks) of
+    a reduced form satisfying ``rule``, by the constructive
+    substitutions (see module docstring): the boundary twists left after
+    the rule's cost, then the interior with its negative powers
+    substituted, merged once."""
+    blocks = blocks or ((0, 0),)
     _, cost = _rule_and_cost(blocks)
-    terms = [(letter, x - cost) for letter, x in zip(BOUNDARY, rf.r)]
+    terms = [(letter, x - cost) for letter, x in zip(BOUNDARY, r)]
     m1, n1 = blocks[0]
     if rule in ("H1", "H4"):
         for m, n in blocks:
@@ -397,21 +427,21 @@ def _factor_words(rf: ReducedForm, rule: str):
 def positive_factorization(rf: ReducedForm):
     """A :class:`PositiveFactorization` for the first cyclic rotation of
     ``rf`` satisfying a fillability rule, or None when no rotation does.
-    The rotations are built and tested one at a time, in the order of
-    :func:`cyclic_rotations`.  The output word has strictly positive
-    exponents and is certified equal (after undoing the recorded
-    conjugator) to the expansion of that rotation by the exact equality
-    oracle; certification failure is an invariant-violation fault, not
-    a None."""
-    for k, rho in enumerate(_rotations(rf, *_peel(rf))):
-        rule = _h_rule(rho)
+    Only the first rotation of each tag class is tested, in rotation
+    order (:func:`_rotation_classes`).  The output word has strictly
+    positive exponents and is certified equal (after undoing the
+    recorded conjugator) to the expansion of that rotation by the exact
+    equality oracle; certification failure is an invariant-violation
+    fault, not a None."""
+    for k, r, blocks in _rotation_classes(rf):
+        rule = _h_rule(r, blocks)
         if rule is None:
             continue
-        word, conjugator = _factor_words(rho, rule)
+        word, conjugator = _factor_words(r, blocks, rule)
         if any(exp <= 0 for _, exp in word):
             raise InvariantViolation("factorization is not positive",
                                      word=format_word(word), rule=rule)
-        reference = expand(rho)
+        reference = _expanded(r, blocks)
         candidate = concat(conjugator, word, invert(conjugator))
         if candidate != reference and not equal_in_mcg(candidate, reference):
             raise InvariantViolation("factorization failed certification",

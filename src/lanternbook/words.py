@@ -132,7 +132,7 @@ def parse(text: str) -> Word:
                 sign = -1
                 i += 1
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and "0" <= text[i] <= "9":
                 i += 1
             if i == start:
                 raise WordSyntaxError("exponent digits expected after '^'", i)

@@ -2,6 +2,7 @@
 right-veering inequalities, verdict precedence, and the conjugation and
 mirror consistency of the merged classification."""
 
+import itertools
 import random
 
 import pytest
@@ -13,9 +14,11 @@ from lanternbook.classify import (E_F_E, F_E_F, FILLABLE, OVERTWISTED,
                                   classify_rules, match_ot_shape)
 from lanternbook.engine import is_right_veering_upto
 from lanternbook.errors import InvariantViolation, PreconditionError
-from lanternbook.lantern import (ReducedForm, _cyclic_runs, _pack, _peel,
-                                 cyclic_rotations, expand, mirror_ef)
-from tests.test_lantern import form_strategy
+from lanternbook.lantern import (ReducedForm, _joined, _pack, _peel,
+                                 cyclic_rotations, expand, mirror_ef,
+                                 positive_factorization)
+from tests.test_lantern import (_conjugated, _reference_factorization,
+                                _short_cores, form_strategy)
 
 forms = form_strategy(rmax=6, emax=6, smax=3)
 
@@ -207,7 +210,7 @@ def test_conflicting_verdicts_raise_an_invariant_fault(monkeypatch):
     # a core of four cyclic runs, which classify evaluates once
     import sys
     mod = sys.modules["lanternbook.classify"]
-    monkeypatch.setattr(mod, "_h_rule", lambda rf: "H1")
+    monkeypatch.setattr(mod, "_h_rule", lambda r, blocks: "H1")
     with pytest.raises(InvariantViolation):
         classify(ReducedForm((1, 1, 1, 1), ((-2, -1),)))
     with pytest.raises(InvariantViolation):
@@ -218,8 +221,8 @@ def test_conflicting_verdicts_raise_an_invariant_fault(monkeypatch):
 def test_classify_looks_up_cyclic_rotations_at_most_once_per_call(
         monkeypatch):
     # perfbench/tracing.py counts rotations per form by wrapping this
-    # module attribute, so classify must call it through the module: once
-    # when the core has at most two cyclic runs, never when it has more
+    # module attribute; classify reads the rotation classes on exponent
+    # tuples instead, so it never builds the list of rotations
     import sys
     mod = sys.modules["lanternbook.classify"]
     calls = []
@@ -229,14 +232,12 @@ def test_classify_looks_up_cyclic_rotations_at_most_once_per_call(
         return cyclic_rotations(rf)
 
     monkeypatch.setattr(mod, "cyclic_rotations", counting)
-    for rf, expected in (
-            (ReducedForm((0, 0, 0, 0), ()), 1),
-            (ReducedForm((1, 1, 1, 1), ((-1, 1), (1, 0))), 1),
-            (ReducedForm((2, 0, 1, 1), ((0, 3), (-2, 1), (1, 0))), 0),
-            (ReducedForm((1, 1, 1, 1), ((1, 2), (3, -1), (2, 1))), 0)):
-        calls.clear()
+    for rf in (ReducedForm((0, 0, 0, 0), ()),
+               ReducedForm((1, 1, 1, 1), ((-1, 1), (1, 0))),
+               ReducedForm((2, 0, 1, 1), ((0, 3), (-2, 1), (1, 0))),
+               ReducedForm((1, 1, 1, 1), ((1, 2), (3, -1), (2, 1)))):
         classify(rf, ot1_broad=True)
-        assert calls == [rf] * expected
+    assert calls == []
 
 
 def _merged_over_every_candidate(rf):
@@ -250,7 +251,7 @@ def _merged_over_every_candidate(rf):
         merged = []
         decisive = {}
         for k, mirror, candidate in candidates:
-            for t in _tags(candidate, ot1_broad):
+            for t in _tags(candidate.r, candidate.blocks, ot1_broad):
                 if t not in merged:
                     merged.append(t)
                     decisive.setdefault(t, (k, mirror))
@@ -272,7 +273,7 @@ def test_long_cores_are_classified_from_rotation_zero_alone():
     for _ in range(20000):
         rf = _random_form(rng, rmax=8, emax=5, smax=6)
         core = _peel(rf)[1]
-        kind = min(_cyclic_runs(core), 6)
+        kind = min(len(_joined(core)[1]), 6)
         kinds[kind] = kinds.get(kind, 0) + 1
         if core:
             assert ReducedForm(rf.r, _pack(core)) == cyclic_rotations(rf)[0]
@@ -287,6 +288,36 @@ def test_long_cores_are_classified_from_rotation_zero_alone():
     # a cyclic core never has 3 or 5 runs; 6 stands for 6 or more
     assert set(kinds) == {0, 1, 2, 4, 6}, kinds
     assert min(kinds.values()) >= 500, kinds
+
+
+def test_short_cores_match_the_merge_over_every_candidate_exhaustively():
+    # The rules read r only through min r, whether some r_k is 0, and
+    # whether r2 or r4, and r1 or r3, is 1 (module docstring), so one r
+    # of {-1..2}^4 per such pattern stands for the whole grid; the
+    # conjugated cores and the factorizations take one r per min r.
+    patterns = {}
+    for r in itertools.product(range(-1, 3), repeat=4):
+        patterns.setdefault((min(r), 0 in r, 1 in r[1::2], 1 in r[::2]), r)
+    by_min = {min(r): r for r in patterns.values()}
+    assert len(patterns) == 16 and len(by_min) == 4
+    forms = 0
+    for core in _short_cores(6):
+        cases = [(_pack(core), patterns.values())]
+        if core:
+            cases.append((_conjugated(core), by_min.values()))
+        for blocks, rs in cases:
+            for r in rs:
+                rf = ReducedForm(r, blocks)
+                expected = _merged_over_every_candidate(rf)
+                for ot1_broad in (False, True):
+                    c = classify(rf, ot1_broad=ot1_broad)
+                    assert (c.verdict, c.rules, c.rotation, c.mirror) == \
+                        expected[ot1_broad], (rf, ot1_broad)
+                if r in by_min.values():
+                    assert positive_factorization(rf) == \
+                        _reference_factorization(rf), rf
+                forms += 1
+    assert forms == 1033 * 16 + 1032 * 4
 
 
 def test_small_verdicts_cross_validate_against_the_arc_engine():

@@ -217,6 +217,41 @@ def test_census_rejects_bad_ranges(capsys):
 
 # -- exit-code contract -----------------------------------------------------
 
+def _cli_process(*argv):
+    src = str(REPO_ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    return subprocess.Popen([sys.executable, "-m", "lanternbook.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+
+
+def test_a_closed_stdout_ends_the_run_quietly():
+    # `lanternbook census --range ... | head -1`: the reader leaves after
+    # one line of a stream far larger than a pipe buffer
+    proc = _cli_process("census", "--range",
+                        "r1=-3..3,r2=-3..3,r3=-3..3,m1=-3..3,n1=-3..3")
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+    assert first.startswith(b"r1=-3 r2=-3 r3=-3 r4=0 m1=-3 n1=-3 :: ")
+    assert code == 1 and b"Traceback" not in err, err
+
+
+def test_parse_errors_print_no_traceback():
+    # digits outside ASCII are a syntax error at their offset
+    for word in ("e^\u00b2", "e^\u0663"):
+        proc = _cli_process("reduce", word)
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1 and out == b""
+        assert err.startswith(b"error: exponent digits expected after '^'")
+        assert b"Traceback" not in err
+
+
 def test_parse_errors_exit_one(capsys):
     code, _, err = run_cli(capsys, "classify", "x y z")
     assert code == 1 and "error:" in err
@@ -244,7 +279,8 @@ def test_installed_entry_point_smoke(tmp_path):
     tmp_path, offline, with the setuptools already present; its build and
     egg-info directories go there too, so the checkout stays clean.  The
     generated script is run by its path with only that prefix's library
-    directory on PYTHONPATH, so no other install can stand in for it."""
+    directory on PYTHONPATH, so no other install can stand in for it, and
+    the installed metadata must carry the package's ``__version__``."""
     pytest.importorskip("setuptools")
     lib, scripts = tmp_path / "lib", tmp_path / "bin"
     install = subprocess.run(
@@ -263,3 +299,14 @@ def test_installed_entry_point_smoke(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "true"
+    # the distribution's version is the package's own
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import importlib.metadata, lanternbook; print(lanternbook.__file__);"
+         "print(importlib.metadata.version('lanternbook'));"
+         "print(lanternbook.__version__)"],
+        env=dict(os.environ, PYTHONPATH=str(lib)),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    where, installed, package = proc.stdout.split()
+    assert Path(where).is_relative_to(lib) and installed == package

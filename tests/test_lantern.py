@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from lanternbook.invariant import equal_in_mcg
 from lanternbook.errors import InvariantViolation, PreconditionError
+from lanternbook.classify import _shape
 from lanternbook.lantern import (PositiveFactorization, ReducedForm,
-                                 _cyclic_runs, _factor_words, _h_rule, _peel,
+                                 _factor_words, _h_rule, _joined, _pack,
+                                 _peel, _rotation_classes, _rule_and_cost,
                                  canonical_form, cyclic_rotations, expand,
                                  mirror_ef, positive_factorization, reduce,
                                  rf_from_json, rf_to_json,
@@ -401,10 +403,10 @@ def test_rotations_and_factorizations_refuse_what_is_not_a_form():
 
 def _reference_factorization(rf):
     for k, rho in enumerate(cyclic_rotations(rf)):
-        rule = _h_rule(rho)
+        rule = _h_rule(rho.r, rho.blocks)
         if rule is None:
             continue
-        word, conjugator = _factor_words(rho, rule)
+        word, conjugator = _factor_words(rho.r, rho.blocks, rule)
         if any(exp <= 0 for _, exp in word):
             raise InvariantViolation("factorization is not positive")
         if not equal_in_mcg(concat(conjugator, word, invert(conjugator)),
@@ -439,8 +441,9 @@ def test_factorization_matches_the_every_rotation_reference():
         assert pf == _reference_factorization(rf), rf
         prefix, core = _peel(rf)
         seen["peeled"] += bool(prefix)
-        seen["merged ends"] += _cyclic_runs(core) < len(core)
-        seen["long core"] += _cyclic_runs(core) >= 4
+        runs = _joined(core)[1]
+        seen["merged ends"] += len(runs) < len(core)
+        seen["long core"] += len(runs) >= 4
         seen["none"] += pf is None
         seen["rotation > 0"] += pf is not None and pf.rotation > 0
     assert min(seen.values()) >= 100, seen
@@ -458,14 +461,77 @@ def test_rotation_zero_is_the_form_itself_when_nothing_is_peeled():
 def test_every_rotation_of_a_long_core_has_one_h_rule():
     rules = set()
     for rf in _seeded_forms(1416, 5000):
-        if _cyclic_runs(_peel(rf)[1]) < 4:
+        if len(_joined(_peel(rf)[1])[1]) < 4:
             continue
         rotations = cyclic_rotations(rf)
-        found = {_h_rule(rho) for rho in rotations} \
-            | {_h_rule(mirror_ef(rho)) for rho in rotations}
+        found = {_h_rule(rho.r, rho.blocks)
+                 for rho in rotations + [mirror_ef(rho) for rho in rotations]}
         assert len(found) == 1, rf
         rules |= found
     assert rules == {"H4", None}
+
+
+def _short_cores(emax):
+    """Every cyclically reduced core, as a run list, whose cyclic word
+    has at most two runs, each with |exponent| <= emax: the empty core,
+    one run, and x^A y^B read from each letter of x^A, from its start or
+    as x^(A-o) y^B x^o (reads from y^B come with x and y swapped)."""
+    exps = [x for x in range(-emax, emax + 1) if x]
+    yield []
+    for x, y in ("ef", "fe"):
+        for a in exps:
+            yield [(x, a)]
+            step = 1 if a > 0 else -1
+            for b in exps:
+                yield [(x, a), (y, b)]
+                for o in range(step, a, step):
+                    yield [(x, a - o), (y, b), (x, o)]
+
+
+def _conjugated(core):
+    """The interior blocks of u . core . u^-1 for the first one-letter u
+    that leaves a nonempty :func:`_peel` prefix."""
+    for u in ((("e", 1),), (("e", -1),), (("f", 1),), (("f", -1),)):
+        blocks = reduce(concat(u, core, invert(u))).blocks
+        if _peel(ReducedForm((0, 0, 0, 0), blocks))[0]:
+            return blocks
+    raise AssertionError(core)
+
+
+def _class_key(blocks):
+    """What the tags of lanternbook.classify read of a candidate besides
+    r: its fillability rule with its cost, and the (m, n) of its special
+    shape."""
+    shape = _shape(blocks)
+    return _rule_and_cost(blocks or ((0, 0),)), shape and shape[:2]
+
+
+def _first_of_each_class(rf):
+    # rotations fall in one class when they and their mirrors have equal
+    # keys; the first of each class, in rotation order
+    seen = set()
+    firsts = []
+    for k, rho in enumerate(cyclic_rotations(rf)):
+        key = (_class_key(rho.blocks), _class_key(mirror_ef(rho).blocks))
+        if key not in seen:
+            seen.add(key)
+            firsts.append((k, rho.r, rho.blocks))
+    return firsts
+
+
+def test_rotation_classes_yield_the_first_rotation_of_each_class():
+    r = (1, -2, 0, 3)
+    forms = list(_seeded_forms(1417, 5000))
+    for core in _short_cores(6):
+        forms.append(ReducedForm(r, _pack(core)))
+        if core:
+            forms.append(ReducedForm(r, _conjugated(core)))
+    counts = {}
+    for rf in forms:
+        firsts = _first_of_each_class(rf)
+        assert list(_rotation_classes(rf)) == firsts, rf
+        counts[len(firsts)] = counts.get(len(firsts), 0) + 1
+    assert set(counts) == {1, 2, 3} and min(counts.values()) >= 200, counts
 
 
 def test_reduce_and_factorization_outputs_are_pinned():

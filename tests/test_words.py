@@ -48,8 +48,10 @@ def test_format_examples():
 
 
 def test_parse_rejects_bad_input():
+    # only ASCII digits: superscript two and Arabic-Indic three are not
     for text, pos in [("x", 0), ("a x", 2), ("e^", 2), ("e^-", 3),
-                      ("e^+2", 2), ("2e", 0), ("e**2", 1)]:
+                      ("e^+2", 2), ("2e", 0), ("e**2", 1),
+                      ("e^\u00b2", 2), ("e^\u0663", 2), ("e^1\u0663", 3)]:
         with pytest.raises(WordSyntaxError) as err:
             parse(text)
         assert err.value.position == pos
