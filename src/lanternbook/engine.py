@@ -63,13 +63,15 @@ fully deterministic for a fixed input:
    (proof sketches in :mod:`.invariant`).  A right-veering class has no
    left witness at any bound, so the search ends with none; any other
    class goes through the steps below, which find its witness when one
-   lies within the bound.  The rule runs just after the probes of step 2
-   that the word's exponent statistics single out, which settle most
-   words that are not right-veering more cheaply;
-2. probe a small library of certified witness arcs (ranked by cheap
-   exponent statistics of the input word, ties in library order); every
-   probe is verified by an exact side computation before being reported.
-   The library is built only when a probe pass has a candidate, and the
+   lies within the bound.  The rule runs between the two probe passes of
+   step 2, after the one that settles most words that are not
+   right-veering more cheaply;
+2. probe a small library of certified witness arcs.  Each entry is scored
+   once on the word's exponent sums (``_rank_library``): those scoring
+   below 2 are probed before the rule, cheapest first with ties in
+   library order, and the rest after it in library order.  Every probe is
+   verified by an exact side computation before being reported.  The
+   library is built only when a probe pass has a candidate, and the
    model only then or when the class is not right-veering, so a word
    that the rule of step 1 alone settles builds neither;
 3. sweep every arc with at most one crossing (the reference enumeration
@@ -128,8 +130,8 @@ EQUAL = "Equal"
 PORTS = geometry.PORTS
 PORT_IDX = {p: i for i, p in enumerate(PORTS)}
 PORTS_OF_COMPONENT = {
-    "C1": ("P1",), "C2": ("P2a", "P2b"), "C3": ("P3a", "P3b"), "C4": ("P4",),
-}
+    c: tuple(p for p in PORTS if geometry.PORT_TO_BOUNDARY[p][0] == c)
+    for c, _ in geometry.PORT_TO_BOUNDARY.values()}
 _EDGE_OF_PORT = tuple(geometry.port_edge(p) for p in PORTS)
 _LETTERS = (1, -1, 2, -2, 3, -3)
 # 12-gon edge a strand leaves through when its next crossing is the
@@ -329,6 +331,12 @@ def _action_from_polygon(polygon):
     return tuple(actions)
 
 
+# spot patterns of the port correction words of the positive a, e and f
+# twists, port by port in PORTS order: the cut that the word's one letter
+# crosses, 0 for an empty word, None for a port left unchecked
+_PORT_WORD_CUTS = {"a": (0, 1, 1, 1, 1, 1), "e": (0, 0, 0, 2, 2, 2),
+                   "f": (None,) * 5 + (0,)}
+
 # word pairs (one positive twist per letter) that the pinned invariant must
 # decide as the arc action does: the lantern relations, their reorderings,
 # and two pairs of distinct mapping classes
@@ -355,18 +363,33 @@ class Arc:
         return geometry.PORT_TO_BOUNDARY[self.end]
 
 
-def make_arc(start, crossings, end):
-    if start not in PORTS or end not in PORTS:
-        raise MalformedArcError("unknown port %r" % ((start, end),))
+def _checked_word(crossings):
+    """``crossings`` as a tuple, and whether it has no backtrack.  Anything
+    but a sequence of the ints +-1, +-2 and +-3 is refused
+    (``MalformedArcError``); a lookup alone would take True and 1.0, which
+    equal 1."""
     try:
         word = tuple(crossings)
     except TypeError:
         raise MalformedArcError("crossings are not a sequence of letters: "
                                 "%r" % (crossings,)) from None
+    reduced, prev = True, 0
     for x in word:
-        if type(x) is not int or not 1 <= abs(x) <= 3:
+        if type(x) is not int or x not in _EXIT:
             raise MalformedArcError("bad crossing letter %r" % (x,))
-    return Arc(start, _decode(_reduce_str(_encode(word))), end)
+        if x == -prev:
+            reduced = False
+        prev = x
+    return word, reduced
+
+
+def make_arc(start, crossings, end):
+    if start not in PORTS or end not in PORTS:
+        raise MalformedArcError("unknown port %r" % ((start, end),))
+    word, reduced = _checked_word(crossings)
+    if not reduced:
+        word = _decode(_reduce_str(_encode(word)))
+    return Arc(start, word, end)
 
 
 def canonical(arc):
@@ -392,8 +415,11 @@ def arc_to_json(arc):
 
 def arc_from_json(obj):
     try:
-        start = geometry.BOUNDARY_TO_PORT[(obj["start"][0], obj["start"][1])]
-        end = geometry.BOUNDARY_TO_PORT[(obj["end"][0], obj["end"][1])]
+        ends = (obj["start"], obj["end"])
+        # True and 0.0 would find the ports of 1 and 0 by hash
+        if any(type(e[1]) is not int for e in ends):
+            raise TypeError("port index is not an int")
+        start, end = (geometry.BOUNDARY_TO_PORT[(e[0], e[1])] for e in ends)
         raw = list(obj["crossings"])
     except (KeyError, TypeError, IndexError) as exc:
         raise MalformedArcError("bad arc serialization: %s" % (exc,))
@@ -419,17 +445,8 @@ def _require_canonical(arc):
         known = False
     if not known:
         raise MalformedArcError("unknown port %r" % ((arc.start, arc.end),))
-    prev = 0
-    try:
-        for x in arc.crossings:
-            if x not in _EXIT:
-                raise MalformedArcError("bad crossing letter %r" % (x,))
-            if x == -prev:
-                raise PreconditionError("arc is not canonical: %r" % (arc,))
-            prev = x
-    except TypeError:
-        raise MalformedArcError("crossings are not a sequence of letters: "
-                                "%r" % (arc.crossings,)) from None
+    if not _checked_word(arc.crossings)[1]:
+        raise PreconditionError("arc is not canonical: %r" % (arc,))
 
 
 def _crossing_image(action, crossings):
@@ -508,27 +525,31 @@ class LibraryEntry(NamedTuple):
 
 
 class RVReport:
-    """Outcome of a bounded left-witness search."""
+    """Outcome of a bounded left-witness search: the witness arc, or None
+    when no arc of at most ``bound`` crossings is one."""
 
-    def __init__(self, outcome, bound, word, witness=None):
-        self.outcome = outcome          # "NotRightVeering" | "NoWitnessUpToBound"
+    def __init__(self, bound, word, witness=None):
         self.bound = bound
         self.word = word
         self.witness = witness
-        self.boundary = (geometry.PORT_TO_BOUNDARY[witness.start][0]
-                         if witness is not None else None)
 
-    def is_right_veering_up_to_bound(self):
-        return self.witness is None
+    @property
+    def outcome(self):
+        return ("NoWitnessUpToBound" if self.witness is None
+                else "NotRightVeering")
+
+    @property
+    def boundary(self):
+        """The boundary component the witness starts on, or None."""
+        if self.witness is not None:
+            return self.witness.start_boundary()[0]
 
     def to_json(self):
         out = {"outcome": self.outcome, "bound": self.bound,
-               "word": format_word(self.word)}
+               "word": format_word(self.word), "witness": None}
         if self.witness is not None:
-            out["witness"] = arc_to_json(self.witness)
-            out["boundary"] = self.boundary
-        else:
-            out["witness"] = None
+            out.update(witness=arc_to_json(self.witness),
+                       boundary=self.boundary)
         return out
 
     def __repr__(self):
@@ -541,8 +562,7 @@ class RVReport:
 # ----------------------------------------------------------------------
 
 class _Found(Exception):
-    def __init__(self, arc):
-        self.arc = arc
+    """Carries the first left witness out of the depth-first search."""
 
 
 class Model:
@@ -586,9 +606,7 @@ class Model:
         """Decide which of the two remaining curves is g and which is h by
         certifying the relations  g e f = a b c d  and  h f e = a b c d
         against the arc action; exactly one assignment may pass."""
-        abcd = IDENTITY_ACTION
-        for k in "abcd":
-            abcd = _compose(abcd, raw[k][0])
+        abcd = self._letters_action((k, 1) for k in "abcd")
         winners = []
         for gname, hname in (("u", "v"), ("v", "u")):
             gef = _compose(_compose(raw[gname][0], raw["e"][0]), raw["f"][0])
@@ -629,34 +647,17 @@ class Model:
                 if left != right:
                     raise InvariantViolation("boundary twist not central",
                                              pair=k + other)
-        plus = [self.tables[k][0] for k in GENERATORS]
-        for i in range(len(plus)):
-            for j in range(i + 1, len(plus)):
-                if plus[i] == plus[j]:
+        for i, x in enumerate(GENERATORS):
+            for y in GENERATORS[i + 1:]:
+                if self.tables[x][0] == self.tables[y][0]:
                     raise InvariantViolation(
-                        "distinct generators act identically",
-                        pair=GENERATORS[i] + GENERATORS[j])
-        eeff = self._letters_action(
-            [("e", 1), ("e", 1), ("f", 1), ("f", 1)])
-        efef = self._letters_action(
-            [("e", 1), ("f", 1), ("e", 1), ("f", 1)])
-        if eeff == efef:
-            raise InvariantViolation("e^2 f^2 and efef act identically")
-        # spot patterns of the port correction words
-        wa = [_decode(v) for v in self.tables["a"][0].w]
-        if wa[PORT_IDX["P1"]] != () or any(
-                len(wa[PORT_IDX[p]]) != 1 or abs(wa[PORT_IDX[p]][0]) != 1
-                for p in PORTS if p != "P1"):
-            raise InvariantViolation("a-table correction words off-pattern")
-        we = [_decode(v) for v in self.tables["e"][0].w]
-        for p in ("P1", "P2a", "P2b"):
-            if we[PORT_IDX[p]] != ():
-                raise InvariantViolation("e-table correction words off-pattern")
-        for p in ("P3a", "P3b", "P4"):
-            if len(we[PORT_IDX[p]]) != 1 or abs(we[PORT_IDX[p]][0]) != 2:
-                raise InvariantViolation("e-table correction words off-pattern")
-        if self.tables["f"][0].w[PORT_IDX["P4"]] != b"":
-            raise InvariantViolation("f-table correction words off-pattern")
+                        "distinct generators act identically", pair=x + y)
+        for letter, cuts in _PORT_WORD_CUTS.items():
+            for word, cut in zip(self.tables[letter][0].w, cuts):
+                crossed = [abs(x) for x in _decode(word)]
+                if cut is not None and crossed != ([cut] if cut else []):
+                    raise InvariantViolation(
+                        "%s-table correction words off-pattern" % letter)
 
     # -- word -> action --------------------------------------------------
 
@@ -668,8 +669,7 @@ class Model:
             acc = base if exp else IDENTITY_ACTION
             for _ in range(abs(exp) - 1):
                 acc = _compose(acc, base)
-            self._piece_cache[key] = acc
-            hit = acc
+            hit = self._piece_cache[key] = acc
         return hit
 
     def word_action(self, word):
@@ -722,12 +722,9 @@ class Model:
             self.library = _build_library(self)
             # each entry's arc and, when it differs, the reversed arc: the
             # candidates the probe tries, in order
-            probe_arcs = []
-            for entry in self.library:
-                rev = reverse(entry.arc)
-                probe_arcs.append(
-                    (entry.arc,) if rev == entry.arc else (entry.arc, rev))
-            self.probe_arcs = tuple(probe_arcs)
+            self.probe_arcs = tuple(
+                tuple(dict.fromkeys((entry.arc, reverse(entry.arc))))
+                for entry in self.library)
             self.library_build_s = time.process_time() - start
         return self.library
 
@@ -738,10 +735,10 @@ class Model:
         twist handedness and the side rule agree."""
         for letter in GENERATORS:
             pos, neg = self.tables[letter]
-            if _canonical_sweep(self, pos, 2) is not None:
+            if _canonical_sweep(pos, 2) is not None:
                 raise InvariantViolation("positive twist has a left witness",
                                          curve=letter)
-            if _canonical_sweep(self, neg, 3) is None:
+            if _canonical_sweep(neg, 3) is None:
                 raise InvariantViolation("negative twist has no left witness",
                                          curve=letter)
 
@@ -823,22 +820,13 @@ def _iter_reduced_words(length):
     if length == 0:
         yield ()
         return
-
-    def rec(prefix):
-        if len(prefix) == length:
-            yield tuple(prefix)
-            return
+    for prefix in _iter_reduced_words(length - 1):
         for x in _LETTERS:
-            if prefix and x == -prefix[-1]:
-                continue
-            prefix.append(x)
-            yield from rec(prefix)
-            prefix.pop()
-
-    yield from rec([])
+            if not prefix or x != -prefix[-1]:
+                yield prefix + (x,)
 
 
-def _canonical_sweep(model, action, depth, start_ports=None, predicate=None):
+def _canonical_sweep(action, depth, start_ports=None, predicate=None):
     """First arc (length-major, then start port, then word, then end port)
     with at most ``depth`` crossings satisfying ``predicate`` (default: the
     arc's image under ``action`` leaves to its left).  The reference
@@ -863,14 +851,6 @@ def _canonical_sweep(model, action, depth, start_ports=None, predicate=None):
                     if predicate(arc):
                         return arc
     return None
-
-
-def _naive_first_witness(w, bound):
-    """Slow exhaustive reference search (used by tests to cross-validate
-    the pruned search)."""
-    model = get_model()
-    action = model.word_action(parse(w) if isinstance(w, str) else w)
-    return _canonical_sweep(model, action, bound)
 
 
 # ----------------------------------------------------------------------
@@ -911,26 +891,21 @@ def _library_arc(model, entry):
     at both of its ends."""
     if entry.kind[0] == "cross":
         actions = [model.word_action(p) for p in entry.patterns]
-        c4_ports = PORTS_OF_COMPONENT["C4"]
 
         def both_ends_left(arc):
-            if arc.end not in c4_ports:
+            if arc.end not in PORTS_OF_COMPONENT["C4"]:
                 return False
             rev = reverse(arc)
-            for action in actions:
-                img = model.apply_action(action, arc)
-                if _side(arc, img) != LEFT:
-                    return False
-                if _side(rev, reverse(img)) != LEFT:
-                    return False
-            return True
+            return all(_side(arc, img) == LEFT
+                       and _side(rev, reverse(img)) == LEFT
+                       for img in (model.apply_action(action, arc)
+                                   for action in actions))
 
-        arc = _canonical_sweep(model, None, 6,
-                               start_ports=PORTS_OF_COMPONENT["C2"],
+        arc = _canonical_sweep(None, 6, start_ports=PORTS_OF_COMPONENT["C2"],
                                predicate=both_ends_left)
     else:
         arc = _canonical_sweep(
-            model, model.word_action(entry.patterns[0]), 6,
+            model.word_action(entry.patterns[0]), 6,
             start_ports=PORTS_OF_COMPONENT["C%d" % entry.kind[1]])
     if arc is None:
         raise InvariantViolation("no library witness found", name=entry.name)
@@ -940,9 +915,8 @@ def _library_arc(model, entry):
 def witness_library():
     """The certified witness arcs with their defining monodromy words, as
     (word, arc) pairs."""
-    model = get_model()
     return [(entry.patterns[0], entry.arc)
-            for entry in model.ensure_library()]
+            for entry in get_model().ensure_library()]
 
 
 # ----------------------------------------------------------------------
@@ -954,32 +928,39 @@ def _probe_score(entry, sums):
     if kind[0] == "neg":
         return 0 if sums.get(BOUNDARY[kind[1] - 1], 0) < 0 else 2
     if kind[0] == "zero":
-        if sums.get(BOUNDARY[kind[1] - 1], 0) == 0 and \
-                min(sums.get("e", 0), sums.get("f", 0)) < 0:
-            return 0
-        return 2
+        zero = sums.get(BOUNDARY[kind[1] - 1], 0) == 0
+        return 0 if zero and min(sums.get("e", 0), sums.get("f", 0)) < 0 else 2
     return 1 if sums.get("e", 0) < 0 and sums.get("f", 0) < 0 else 2
 
 
-def _probe(model, terms, sums, want_cheap):
-    """Try the library arcs (both orientations) as witnesses, cheapest
-    promising ones first (by score, then library order).  ``want_cheap``
-    True probes only entries whose statistics match the word; False probes
-    the remaining ones.  ``terms`` is freely reduced, so each image is
-    folded without reducing again.  ``model`` may be None: the model and
-    the library are built only when the pass has a candidate."""
-    ranked = []
+def _rank_library(terms):
+    """The library indices of the two probe passes, each entry scored once
+    on the exponent sums of ``terms``: the entries scoring < 2, cheapest
+    first and ties in library order, then the rest in library order."""
+    sums = {}
+    for letter, exp in terms:
+        sums[letter] = sums.get(letter, 0) + exp
+    cheap, rest = [], []
     for i, entry in enumerate(_LIBRARY_SPEC):
         score = _probe_score(entry, sums)
-        if (score < 2) == want_cheap:
-            ranked.append((score, i))
-    if not ranked:
+        if score < 2:
+            cheap.append((score, i))
+        else:
+            rest.append(i)
+    cheap.sort()
+    return [i for _, i in cheap], rest
+
+
+def _probe(indices, terms):
+    """Try the arcs of the library entries ``indices`` (both orientations)
+    as witnesses, in that order.  ``terms`` is freely reduced, so each
+    image is folded without reducing again.  The model and the library are
+    built only when ``indices`` is not empty."""
+    if not indices:
         return None
-    ranked.sort()
-    if model is None:
-        model = get_model()
+    model = get_model()
     model.ensure_library()
-    for _, i in ranked:
+    for i in indices:
         for arc in model.probe_arcs[i]:
             if _side(arc, model._fold(arc, terms)) == LEFT:
                 return arc
@@ -1071,7 +1052,7 @@ def _dfs_search(model, action, bound):
         try:
             node([], Q, 0, bound, s_idx)
         except _Found as found:
-            arc = found.arc
+            arc, = found.args
             img = model.apply_action(action, arc)
             if side_at_start(arc, img) != LEFT:
                 raise InvariantViolation("search produced a bad witness",
@@ -1089,7 +1070,7 @@ def _rv_search(terms, bound):
     model = _MODEL
     if model is not None and key in model._rv_cache:
         return model._rv_cache[key]
-    arc = _rv_search_uncached(model, terms, bound)
+    arc = _rv_search_uncached(terms, bound)
     model = _MODEL                      # the search may have built it
     if model is not None:
         if len(model._rv_cache) > 10000:
@@ -1099,34 +1080,25 @@ def _rv_search(terms, bound):
     return arc
 
 
-def _rv_search_uncached(model, terms, bound):
-    """The search of the module docstring.  ``model`` may be None: the
-    model is built only when a probe pass has a candidate or the class is
-    not right-veering."""
+def _rv_search_uncached(terms, bound):
+    """The search of the module docstring.  The model is built only when a
+    probe pass has a candidate or the class is not right-veering."""
     if not terms:
         return None
-    sums = {}
-    for letter, exp in terms:
-        sums[letter] = sums.get(letter, 0) + exp
-    all_positive = all(e > 0 for _, e in terms)
-    if not all_positive:
-        arc = _probe(model, terms, sums, want_cheap=True)
-        if arc is not None:
-            return arc
-    if right_veering(terms)[0]:
-        return None
-    if model is None:
-        model = get_model()
-    arc = _probe(model, terms, sums, want_cheap=False)
+    cheap, rest = _rank_library(terms)
+    arc = _probe(cheap, terms)
+    if arc is not None or right_veering(terms)[0]:
+        return arc
+    arc = _probe(rest, terms)
     if arc is not None:
         return arc
+    model = get_model()
     action = model.word_action(terms)
     if action == IDENTITY_ACTION:
         return None
-    arc = _canonical_sweep(model, action, min(1, bound))
-    if arc is not None:
-        return arc
-    return _dfs_search(model, action, bound)
+    # an Arc is always truthy
+    return (_canonical_sweep(action, min(1, bound))
+            or _dfs_search(model, action, bound))
 
 
 # The depth-first search recurses once per crossing, so its deepest
@@ -1160,10 +1132,7 @@ def is_right_veering_upto(w, bound=12):
     validate_bound(bound)
     if isinstance(w, str):
         w = parse(w)
-    arc = _rv_search(free_reduce(w), bound)
-    if arc is None:
-        return RVReport("NoWitnessUpToBound", bound, w)
-    return RVReport("NotRightVeering", bound, w, witness=arc)
+    return RVReport(bound, w, _rv_search(free_reduce(w), bound))
 
 
 def certify_model():

@@ -25,6 +25,7 @@ from lanternbook import (ReducedForm, apply_word, classify, classify_rules,
 from lanternbook.engine import _equal_by_action
 from lanternbook.errors import PreconditionError
 from lanternbook.words import merge_terms
+from witness_reference import naive_first_witness
 
 
 def _report(num, desc, failures, scale=""):
@@ -321,7 +322,6 @@ def test_criterion_8_equality_oracle_distinguishes():
 # -- 9: positive words never veer left ---------------------------------------
 
 def test_criterion_9_positive_monoid_property():
-    from lanternbook.engine import _naive_first_witness
     rng = random.Random(20260809)
     failures = []
     words = [_random_word(rng, max_terms=8, exp_lo=1, exp_hi=4)
@@ -333,7 +333,7 @@ def test_criterion_9_positive_monoid_property():
     # re-certify a deterministic subsample against the unpruned reference
     # enumeration
     for w in words[::100]:
-        if _naive_first_witness(w, 3) is not None:
+        if naive_first_witness(w, 3) is not None:
             failures.append(("reference sweep disagrees", format_word(w)))
     _report(9, "positive words admit no left witness", failures,
             "10^3 words, length <= 8, bound 12")

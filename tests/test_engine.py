@@ -14,17 +14,18 @@ from lanternbook import engine, geometry
 from lanternbook.engine import (IDENTITY_ACTION, LEFT, PORTS_OF_COMPONENT,
                                 RIGHT, Arc, Model, _action_from_polygon,
                                 _canonical_sweep, _equal_by_action,
-                                _naive_first_witness, apply_twist,
-                                apply_word, arc_from_json, arc_to_json,
-                                canonical, certify_model, equal_in_mcg,
-                                get_model, is_right_veering_upto, make_arc,
-                                reverse, side_at_start, witness_library)
+                                apply_twist, apply_word, arc_from_json,
+                                arc_to_json, canonical, certify_model,
+                                equal_in_mcg, get_model,
+                                is_right_veering_upto, make_arc, reverse,
+                                side_at_start, witness_library)
 from lanternbook.errors import (InvariantViolation, MalformedArcError,
                                 PreconditionError, WordSyntaxError)
 from lanternbook.geometry import CURVE_POLYGONS, PORTS
 from lanternbook.lantern import ReducedForm, expand, reduce
 from lanternbook.words import (INTERIOR, concat, exponent_class, free_reduce,
                                invert, merge_terms, parse)
+from witness_reference import naive_first_witness
 
 GENERATORS = "abcdefgh"
 
@@ -120,6 +121,104 @@ def test_order_battery_catches_a_wrong_image(monkeypatch):
         model._certify_order_preservation()
 
 
+def _polygon_actions(monkeypatch, curve, change):
+    """Replace the twist tables (plus, minus) that the build reads off the
+    polygon of ``curve`` by ``change(plus, minus)``."""
+    true_action = engine._action_from_polygon
+
+    def patched(polygon):
+        plus, minus = true_action(polygon)
+        if polygon is CURVE_POLYGONS[curve]:
+            return change(plus, minus)
+        return plus, minus
+
+    monkeypatch.setattr(engine, "_action_from_polygon", patched)
+
+
+def _tables_after_naming(monkeypatch, corrupt):
+    """Apply ``corrupt`` to the named tables once g and h are assigned."""
+    true_assign = Model._assign_gh
+
+    def assign(self, raw):
+        true_assign(self, raw)
+        corrupt(self.tables)
+
+    monkeypatch.setattr(Model, "_assign_gh", assign)
+
+
+def _fault_inverse_pair(monkeypatch):
+    _polygon_actions(monkeypatch, "e", lambda plus, minus: (plus, plus))
+    Model()
+
+
+def _fault_naming(monkeypatch):
+    # both g/h candidates twist along u, so neither naming passes
+    _polygon_actions(monkeypatch, "v",
+                     lambda *_: _action_from_polygon(CURVE_POLYGONS["u"]))
+    Model()
+
+
+def _fault_centrality(monkeypatch):
+    _tables_after_naming(monkeypatch,
+                         lambda tables: tables.update(a=tables["e"]))
+    Model()
+
+
+def _fault_distinctness(monkeypatch):
+    _tables_after_naming(monkeypatch,
+                         lambda tables: tables.update(h=tables["g"]))
+    Model()
+
+
+def _fault_port_words(monkeypatch):
+    # f followed by the central a: the relations of the tables above hold,
+    # but f's correction word at P4 is no longer empty
+    def times_a(tables):
+        tables["f"] = tuple(engine._compose(f, a)
+                            for f, a in zip(tables["f"], tables["a"]))
+
+    _tables_after_naming(monkeypatch, times_a)
+    Model()
+
+
+def _fault_pinned_relation(monkeypatch):
+    # the action answers e e f f and e f e f as equal
+    true_letters = Model._letters_action
+    eeff = (("e", 1), ("e", 1), ("f", 1), ("f", 1))
+    efef = (("e", 1), ("f", 1), ("e", 1), ("f", 1))
+
+    def letters_action(self, letters):
+        letters = tuple(letters)
+        return true_letters(self, efef if letters == eeff else letters)
+
+    monkeypatch.setattr(Model, "_letters_action", letters_action)
+    Model()
+
+
+def _fault_anchors(monkeypatch):
+    model = Model()
+    model.tables["e"] = model.tables["e"][::-1]
+    model.ensure_library()
+
+
+def _fault_library_validation(monkeypatch):
+    # the sweep finds the zero-coefficient entry's arc under the action of
+    # a^-1, and the fold of e^-1 f^2 refuses it
+    model = Model()
+    model._action_cache[free_reduce(parse("e^-1 f^2"))] = \
+        model.tables["a"][1]
+    model.ensure_library()
+
+
+@pytest.mark.parametrize("fault", [
+    _fault_inverse_pair, _fault_naming, _fault_centrality,
+    _fault_distinctness, _fault_port_words, _fault_pinned_relation,
+    _fault_anchors, _fault_library_validation])
+def test_a_corrupted_table_fails_the_build(monkeypatch, fault):
+    with pytest.raises(InvariantViolation):
+        fault(monkeypatch)
+
+
 # -- arcs -------------------------------------------------------------------
 
 def test_make_arc_removes_backtracks():
@@ -166,6 +265,11 @@ def test_arcs_built_directly_are_checked_at_every_entry_point():
              (Arc("P1", (7,), "P1"), MalformedArcError, "bad crossing letter"),
              (Arc("P1", (1, 0), "P1"), MalformedArcError,
               "bad crossing letter"),
+             # True == 1 and 2.0 == 2, so a lookup alone would take them
+             (Arc("P1", (True, 2.0), "P4"), MalformedArcError,
+              "bad crossing letter"),
+             (Arc("P1", (1, 2.0), "P4"), MalformedArcError,
+              "bad crossing letter"),
              (Arc("P1", (1, -1), "P1"), PreconditionError, "not canonical"),
              (Arc("P1", 5, "P1"), MalformedArcError, "not a sequence"),
              (Arc(["P1"], (), "P1"), MalformedArcError, "unknown port")]
@@ -196,7 +300,10 @@ def test_arc_json_rejects_malformed_documents():
                  "crossings": [["d4", "+"]]},
                 {"start": ["C1", 0], "end": ["C2", 0],
                  "crossings": [["d1", "*"]]},
-                {"start": ["C1", 0], "end": ["C2", 0], "crossings": 5}]:
+                {"start": ["C1", 0], "end": ["C2", 0], "crossings": 5},
+                # True == 1 and 0.0 == 0 would find P2b and P4 by hash
+                {"start": ["C2", True], "end": ["C4", 0.0], "crossings": []},
+                {"start": ["C2", 1], "end": ["C4", 0.0], "crossings": []}]:
         with pytest.raises(MalformedArcError):
             arc_from_json(doc)
 
@@ -543,7 +650,8 @@ def test_probe_returns_the_ranking_loops_arc():
         for letter, exp in terms:
             sums[letter] = sums.get(letter, 0) + exp
         for want_cheap in (True, False):
-            arc = engine._probe(model, terms, sums, want_cheap)
+            arc = engine._probe(
+                engine._rank_library(terms)[not want_cheap], terms)
             assert arc == _probe_by_ranking_loop(
                 model, terms, sums, want_cheap), (terms, want_cheap)
             hits[want_cheap] += arc is not None
@@ -603,7 +711,7 @@ def test_pruned_search_matches_the_reference_sweep(monkeypatch):
     for text, bound in cases + deep:
         del searched[:]
         rep = is_right_veering_upto(text, bound)
-        naive = _naive_first_witness(text, bound)
+        naive = naive_first_witness(text, bound)
         assert (rep.outcome == "NotRightVeering") == \
             (naive is not None), (text, bound)
         if rep.witness is not None:
@@ -644,7 +752,7 @@ def test_sweep_matches_the_per_arc_predicate():
                          (rng.choice("abcd"), rng.choice((1, -1, 2))))
         action = model.word_action(merge_terms(terms))
         ports = None if trial % 2 else ("P3b", "P1", "P2a")
-        arc = _canonical_sweep(model, action, 2, start_ports=ports)
+        arc = _canonical_sweep(action, 2, start_ports=ports)
         assert arc == _first_left_witness(
             model, action, 2, PORTS if ports is None else ports), terms
         found += arc is not None

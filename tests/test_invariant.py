@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import lanternbook
 from lanternbook import engine
 from lanternbook import classify, classify_rules
-from lanternbook.engine import Model, _naive_first_witness, get_model
+from lanternbook.engine import Model, get_model
 from lanternbook.errors import InvariantViolation, PreconditionError
 from lanternbook.invariant import (SLOPE_CANDIDATES, SLOPES, _slope_product,
                                    right_veering, twist_number)
@@ -28,6 +28,7 @@ from lanternbook.words import (GENERATORS, INTERIOR, concat,
                                exponent_class, free_reduce, invert,
                                merge_terms)
 from test_acceptance import _literal_h_tag, _random_form, _twist_shape_grid
+from witness_reference import naive_first_witness
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -117,10 +118,10 @@ def test_trace_rule_agrees_with_the_witness_search(monkeypatch):
         assert verdict == (min(c) >= 0 and (m >= 0 or min(c) > 0)), w
         if verdict:
             bare = _without_right_twists(w)
-            assert engine._rv_search_uncached(model, bare, 10) is None or \
-                engine._rv_search_uncached(model, w, 10) is None, w
+            assert engine._rv_search_uncached(bare, 10) is None or \
+                engine._rv_search_uncached(w, 10) is None, w
         else:
-            assert _naive_first_witness(w, 10) is not None, w
+            assert naive_first_witness(w, 10) is not None, w
         kind = "gh" if curve in "gh" else curve
         seen.add((kind, (m > 0) - (m < 0), min(c) == 0, verdict))
     # every case of the rule occurs: no twist, e/f and g/h curves with
@@ -239,7 +240,7 @@ def test_fdtc_threshold_matches_the_witness_search(monkeypatch):
                 r[k] = rk - shift
                 w = free_reduce(tuple(zip("abcd", r)) + P)
                 assert right_veering(w) == (verdict, "FDTC"), w
-                arc = engine._rv_search_uncached(model, w, 5)
+                arc = engine._rv_search_uncached(w, 5)
                 assert (arc is None) == verdict, (w, arc)
     assert len(taus) >= 4, taus
 
