@@ -66,14 +66,16 @@ fully deterministic for a fixed input:
    lies within the bound.  The rule runs between the two probe passes of
    step 2, after the one that settles most words that are not
    right-veering more cheaply;
-2. probe a small library of certified witness arcs.  Each entry is scored
-   once on the word's exponent sums (``_rank_library``): those scoring
-   below 2 are probed before the rule, cheapest first with ties in
-   library order, and the rest after it in library order.  Every probe is
-   verified by an exact side computation before being reported.  The
-   library is built only when a probe pass has a candidate, and the
-   model only then or when the class is not right-veering, so a word
-   that the rule of step 1 alone settles builds neither;
+2. probe the witness library: nine stated 0-crossing arcs, one per
+   family of the paper, each certified against its defining words when
+   the library is built.  Each entry is scored once on the word's
+   exponent sums (``_rank_library``): those scoring below 2 are probed
+   before the rule, cheapest first with ties in library order, and the
+   rest after it in library order.  Every probe is verified by an exact
+   side computation before being reported.  The library is built only
+   when a probe pass has a candidate, and the model only then or when
+   the class is not right-veering, so a word that the rule of step 1
+   alone settles builds neither;
 3. sweep every arc with at most one crossing (the reference enumeration
    order), applying the composite action directly; this settles almost
    every non-right-veering word cheaply because short witnesses are
@@ -100,7 +102,9 @@ end port in listed order, then children by crossing letter +1, -1, +2,
 -2, +3, -3).  Results are memoized per (word, bound).
 
 **Build.**  The model certifies itself at construction and again when
-the witness library is built, and the certifiers share their images
+the witness library is built: the library build runs the anchor and
+order batteries and checks each of the nine stated library arcs against
+every defining word of its entry.  The certifiers share their images
 rather than recompute them: each polyline is spliced once for both
 twist signs, the order battery takes each arc's image under each word
 once and compares every pair from those images, and a sweep substitutes
@@ -129,9 +133,6 @@ EQUAL = "Equal"
 
 PORTS = geometry.PORTS
 PORT_IDX = {p: i for i, p in enumerate(PORTS)}
-PORTS_OF_COMPONENT = {
-    c: tuple(p for p in PORTS if geometry.PORT_TO_BOUNDARY[p][0] == c)
-    for c, _ in geometry.PORT_TO_BOUNDARY.values()}
 _EDGE_OF_PORT = tuple(geometry.port_edge(p) for p in PORTS)
 _LETTERS = (1, -1, 2, -2, 3, -3)
 # 12-gon edge a strand leaves through when its next crossing is the
@@ -419,7 +420,7 @@ def arc_from_json(obj):
         # True and 0.0 would find the ports of 1 and 0 by hash
         if any(type(e[1]) is not int for e in ends):
             raise TypeError("port index is not an int")
-        start, end = (geometry.BOUNDARY_TO_PORT[(e[0], e[1])] for e in ends)
+        start, end = (geometry.BOUNDARY_TO_PORT[tuple(e)] for e in ends)
         raw = list(obj["crossings"])
     except (KeyError, TypeError, IndexError) as exc:
         raise MalformedArcError("bad arc serialization: %s" % (exc,))
@@ -520,7 +521,7 @@ def _turns_left(s_idx, prefix, k, exit_a, exit_b):
 class LibraryEntry(NamedTuple):
     name: str
     patterns: tuple          # defining monodromy word(s), certified Left
-    arc: Arc                 # None in _LIBRARY_SPEC
+    arc: Arc
     kind: tuple              # ("neg", k) | ("zero", k) | ("cross",)
 
 
@@ -589,7 +590,6 @@ class Model:
         self._action_cache = {}
         self._rv_cache = {}
         self.library = None
-        self.probe_arcs = None
         self.library_build_s = None
         self.build_s = time.process_time() - start
 
@@ -720,11 +720,6 @@ class Model:
             self._certify_anchors()
             self._certify_order_preservation()
             self.library = _build_library(self)
-            # each entry's arc and, when it differs, the reversed arc: the
-            # candidates the probe tries, in order
-            self.probe_arcs = tuple(
-                tuple(dict.fromkeys((entry.arc, reverse(entry.arc))))
-                for entry in self.library)
             self.library_build_s = time.process_time() - start
         return self.library
 
@@ -826,29 +821,22 @@ def _iter_reduced_words(length):
                 yield prefix + (x,)
 
 
-def _canonical_sweep(action, depth, start_ports=None, predicate=None):
+def _canonical_sweep(action, depth):
     """First arc (length-major, then start port, then word, then end port)
-    with at most ``depth`` crossings satisfying ``predicate`` (default: the
-    arc's image under ``action`` leaves to its left).  The reference
-    enumeration: exhaustive and unpruned."""
-    ports = PORTS if start_ports is None else start_ports
-    if predicate is None:
-        # phi(u) does not depend on the ports, so each crossing word is
-        # substituted once and shared by all its (start, end) pairs
-        images = {}
-
-        def predicate(arc):
-            image = images.get(arc.crossings)
-            if image is None:
-                image = images[arc.crossings] = _crossing_image(
-                    action, arc.crossings)
-            return _side(arc, _port_corrected(action, arc, image)) == LEFT
+    with at most ``depth`` crossings whose image under ``action`` leaves to
+    its left.  The reference enumeration: exhaustive and unpruned."""
+    # phi(u) does not depend on the ports, so each crossing word is
+    # substituted once and shared by all its (start, end) pairs
+    images = {}
     for n in range(depth + 1):
-        for s in ports:
+        for s in PORTS:
             for u in _iter_reduced_words(n):
+                image = images.get(u)
+                if image is None:
+                    image = images[u] = _crossing_image(action, u)
                 for t in PORTS:
                     arc = Arc(s, u, t)
-                    if predicate(arc):
+                    if _side(arc, _port_corrected(action, arc, image)) == LEFT:
                         return arc
     return None
 
@@ -857,59 +845,41 @@ def _canonical_sweep(action, depth, start_ports=None, predicate=None):
 # witness library
 # ----------------------------------------------------------------------
 
-# The library's entries before their arcs are found.  The probe ranks
-# these, so a word that none of them matches never builds the library.
-_LIBRARY_SPEC = tuple(
-    [LibraryEntry("left_witness_neg_r%d" % k,
-                  (parse("%s^-1 e^2 f^2" % BOUNDARY[k - 1]),), None,
-                  ("neg", k)) for k in range(1, 5)]
-    + [LibraryEntry("left_witness_zero_r%d" % k,
-                    (parse("e^-1 f" if k == 3 else "e^-1 f^2"),), None,
-                    ("zero", k)) for k in range(1, 5)]
-    + [LibraryEntry("left_witness_cross_C2C4",
-                    (parse("a b c d e^-2 f^-1"), parse("a b c d e^-1 f^-2")),
-                    None, ("cross",))])
+# The witness library: for each family of the paper, a 0-crossing arc
+# from the family's boundary component that each defining word moves to
+# its own left (for the crossing family, from C2 to C4).  The probe ranks
+# these entries, so a word that none of them matches never builds the
+# library.
+_LIBRARY = tuple(
+    LibraryEntry(name, tuple(map(parse, patterns)), Arc(start, (), end), kind)
+    for name, patterns, start, end, kind in (
+        ("left_witness_neg_r1", ("a^-1 e^2 f^2",), "P1", "P2a", ("neg", 1)),
+        ("left_witness_neg_r2", ("b^-1 e^2 f^2",), "P2a", "P1", ("neg", 2)),
+        ("left_witness_neg_r3", ("c^-1 e^2 f^2",), "P3a", "P1", ("neg", 3)),
+        ("left_witness_neg_r4", ("d^-1 e^2 f^2",), "P4", "P1", ("neg", 4)),
+        ("left_witness_zero_r1", ("e^-1 f^2",), "P1", "P3a", ("zero", 1)),
+        ("left_witness_zero_r2", ("e^-1 f^2",), "P2a", "P3a", ("zero", 2)),
+        ("left_witness_zero_r3", ("e^-1 f",), "P3a", "P1", ("zero", 3)),
+        ("left_witness_zero_r4", ("e^-1 f^2",), "P4", "P1", ("zero", 4)),
+        ("left_witness_cross_C2C4", ("a b c d e^-2 f^-1",
+                                     "a b c d e^-1 f^-2"),
+         "P2b", "P4", ("cross",))))
+
+# the candidates the probe tries for each entry, in order: its arc, then
+# the reversed arc (every arc's ends differ, so the two never coincide)
+_PROBE_ARCS = tuple((entry.arc, reverse(entry.arc)) for entry in _LIBRARY)
 
 
 def _build_library(model):
-    entries = [entry._replace(arc=_library_arc(model, entry))
-               for entry in _LIBRARY_SPEC]
-    # re-certify every entry through the public path
-    for entry in entries:
+    """Certify every entry through the public path: each of its patterns
+    moves its arc to the arc's own left."""
+    for entry in _LIBRARY:
         for pattern in entry.patterns:
             img = model.apply_word(entry.arc, pattern)
             if side_at_start(entry.arc, img) != LEFT:
                 raise InvariantViolation("library witness failed validation",
                                          name=entry.name)
-    return entries
-
-
-def _library_arc(model, entry):
-    """The first arc of the canonical sweep (at most 6 crossings) that is
-    a left witness of every pattern of ``entry``: from the entry's own
-    boundary component, or for the crossing entry from C2 to C4 and left
-    at both of its ends."""
-    if entry.kind[0] == "cross":
-        actions = [model.word_action(p) for p in entry.patterns]
-
-        def both_ends_left(arc):
-            if arc.end not in PORTS_OF_COMPONENT["C4"]:
-                return False
-            rev = reverse(arc)
-            return all(_side(arc, img) == LEFT
-                       and _side(rev, reverse(img)) == LEFT
-                       for img in (model.apply_action(action, arc)
-                                   for action in actions))
-
-        arc = _canonical_sweep(None, 6, start_ports=PORTS_OF_COMPONENT["C2"],
-                               predicate=both_ends_left)
-    else:
-        arc = _canonical_sweep(
-            model.word_action(entry.patterns[0]), 6,
-            start_ports=PORTS_OF_COMPONENT["C%d" % entry.kind[1]])
-    if arc is None:
-        raise InvariantViolation("no library witness found", name=entry.name)
-    return arc
+    return _LIBRARY
 
 
 def witness_library():
@@ -941,7 +911,7 @@ def _rank_library(terms):
     for letter, exp in terms:
         sums[letter] = sums.get(letter, 0) + exp
     cheap, rest = [], []
-    for i, entry in enumerate(_LIBRARY_SPEC):
+    for i, entry in enumerate(_LIBRARY):
         score = _probe_score(entry, sums)
         if score < 2:
             cheap.append((score, i))
@@ -955,13 +925,14 @@ def _probe(indices, terms):
     """Try the arcs of the library entries ``indices`` (both orientations)
     as witnesses, in that order.  ``terms`` is freely reduced, so each
     image is folded without reducing again.  The model and the library are
-    built only when ``indices`` is not empty."""
+    built only when ``indices`` is not empty, and always before the first
+    fold, so no probe answers before every certification has run."""
     if not indices:
         return None
     model = get_model()
     model.ensure_library()
     for i in indices:
-        for arc in model.probe_arcs[i]:
+        for arc in _PROBE_ARCS[i]:
             if _side(arc, model._fold(arc, terms)) == LEFT:
                 return arc
     return None

@@ -223,17 +223,10 @@ class ExponentVector:
         (va+vg+vh, vb+vg+vh, vc+vg+vh, vd+vg+vh, ve-vg-vh, vf-vg-vh).
 
     Two words related by lantern substitutions and commutations have equal
-    canonical tuples; equality and hashing use only the canonical tuple.
+    canonical tuples.
     """
 
-    raw: tuple
     canonical: tuple
-
-    def __eq__(self, other):
-        return isinstance(other, ExponentVector) and self.canonical == other.canonical
-
-    def __hash__(self):
-        return hash(self.canonical)
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.canonical)
@@ -258,6 +251,4 @@ def _canonical_class(terms) -> tuple:
 
 def exponent_class(word) -> ExponentVector:
     """The abelianization of ``word`` modulo the lantern lattice."""
-    terms = _checked(word)
-    return ExponentVector(raw=_exponent_sums(terms),
-                          canonical=_canonical_class(terms))
+    return ExponentVector(_canonical_class(_checked(word)))

@@ -11,8 +11,8 @@ import random
 import pytest
 
 from lanternbook import engine, geometry
-from lanternbook.engine import (IDENTITY_ACTION, LEFT, PORTS_OF_COMPONENT,
-                                RIGHT, Arc, Model, _action_from_polygon,
+from lanternbook.engine import (IDENTITY_ACTION, LEFT, RIGHT, Arc, Model,
+                                _action_from_polygon,
                                 _canonical_sweep, _equal_by_action,
                                 apply_twist, apply_word, arc_from_json,
                                 arc_to_json, canonical, certify_model,
@@ -202,12 +202,11 @@ def _fault_anchors(monkeypatch):
 
 
 def _fault_library_validation(monkeypatch):
-    # the sweep finds the zero-coefficient entry's arc under the action of
-    # a^-1, and the fold of e^-1 f^2 refuses it
-    model = Model()
-    model._action_cache[free_reduce(parse("e^-1 f^2"))] = \
-        model.tables["a"][1]
-    model.ensure_library()
+    # a b c d e^-2 f^-1 moves this arc left but a b c d e^-1 f^-2 moves it
+    # right, so the build must check every pattern of the crossing entry
+    cross = engine._LIBRARY[8]._replace(arc=Arc("P2b", (2,), "P4"))
+    monkeypatch.setattr(engine, "_LIBRARY", engine._LIBRARY[:8] + (cross,))
+    Model().ensure_library()
 
 
 @pytest.mark.parametrize("fault", [
@@ -303,7 +302,11 @@ def test_arc_json_rejects_malformed_documents():
                 {"start": ["C1", 0], "end": ["C2", 0], "crossings": 5},
                 # True == 1 and 0.0 == 0 would find P2b and P4 by hash
                 {"start": ["C2", True], "end": ["C4", 0.0], "crossings": []},
-                {"start": ["C2", 1], "end": ["C4", 0.0], "crossings": []}]:
+                {"start": ["C2", 1], "end": ["C4", 0.0], "crossings": []},
+                # a port is a (component, index) pair and nothing more
+                {"start": ["C2", 1, "junk"], "end": ["C4", 0, 5],
+                 "crossings": []},
+                {"start": ["C2", 1], "end": ["C4", 0, 5], "crossings": []}]:
         with pytest.raises(MalformedArcError):
             arc_from_json(doc)
 
@@ -674,7 +677,7 @@ def test_witness_library_covers_the_documented_families():
     for k in range(4):
         word, arc = entries[k]
         assert ("abcd"[k], -1) in word
-        assert arc.start in PORTS_OF_COMPONENT["C%d" % (k + 1)]
+        assert arc.start_boundary()[0] == "C%d" % (k + 1)
     # the crossing witness is left-veering at both of its ends
     word, gamma = entries[8]
     for w in ("a b c d e^-2 f^-1", "a b c d e^-1 f^-2"):
@@ -724,11 +727,11 @@ def test_pruned_search_matches_the_reference_sweep(monkeypatch):
     assert outcomes == [True] * 4 + [False] * 5
 
 
-def _first_left_witness(model, action, depth, ports):
+def _first_left_witness(model, action, depth):
     """Reference for the sweep: every arc in length-major, start port,
     crossing word, end port order, each image computed on its own."""
     for n in range(depth + 1):
-        for s in ports:
+        for s in PORTS:
             for u in itertools.product((1, -1, 2, -2, 3, -3), repeat=n):
                 if any(u[i + 1] == -u[i] for i in range(n - 1)):
                     continue
@@ -744,17 +747,15 @@ def test_sweep_matches_the_per_arc_predicate():
     model = get_model()
     rng = random.Random(20)
     found = 0
-    for trial in range(100):
+    for _ in range(100):
         terms = [(rng.choice(INTERIOR), rng.choice((1, -1)))
                  for _ in range(rng.randint(0, 4))]
         if rng.random() < 0.5:
             terms.insert(rng.randint(0, len(terms)),
                          (rng.choice("abcd"), rng.choice((1, -1, 2))))
         action = model.word_action(merge_terms(terms))
-        ports = None if trial % 2 else ("P3b", "P1", "P2a")
-        arc = _canonical_sweep(action, 2, start_ports=ports)
-        assert arc == _first_left_witness(
-            model, action, 2, PORTS if ports is None else ports), terms
+        arc = _canonical_sweep(action, 2)
+        assert arc == _first_left_witness(model, action, 2), terms
         found += arc is not None
     # both outcomes are exercised
     assert 20 <= found <= 90

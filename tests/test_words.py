@@ -228,3 +228,8 @@ def test_exponent_class_examples():
     assert exponent_class(parse("g")) == exponent_class(parse("h"))
     assert exponent_class(parse("e")) != exponent_class(parse("f"))
     assert exponent_class(parse("e")) != exponent_class(parse("e^2"))
+    # equal classes hash equal, so a set keeps one of each
+    pairs = [(parse("g"), parse("h")), (parse("g e f"), parse("a b c d"))]
+    for w1, w2 in pairs:
+        assert hash(exponent_class(w1)) == hash(exponent_class(w2))
+        assert len({exponent_class(w1), exponent_class(w2)}) == 1
