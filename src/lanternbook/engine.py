@@ -99,7 +99,8 @@ library probes first, then the one-crossing sweep (length-major, then
 start port, then crossing word, then end port), then the depth-first
 order (start ports in listed order; at each node the six completions by
 end port in listed order, then children by crossing letter +1, -1, +2,
--2, +3, -3).  Results are memoized per (word, bound).
+-2, +3, -3).  Only the searches that reach the sweep are memoized, per
+(word, bound), on the model; a full memo is emptied.
 
 **Build.**  The model certifies itself at construction and again when
 the witness library is built: the library build runs the anchor and
@@ -117,6 +118,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from . import geometry
@@ -246,58 +248,34 @@ def _image(s, table):
     return _reduce_str(s)
 
 
+@dataclass(frozen=True)
 class ArcAction:
     """Action of a mapping class on the arc system: images of the loop
     basis t1..t3 and the six port correction words, all as free-group
     strings."""
+    phi: tuple
+    w: tuple
 
-    __slots__ = ("phi", "w", "_table", "_w_inv")
-
-    def __init__(self, phi, w):
-        self.phi = tuple(phi)
-        self.w = tuple(w)
-        self._table = None
-        self._w_inv = None
-
-    @property
+    @cached_property
     def table(self):
         """Substitution table for :func:`_image`: a translate map to
         placeholders plus (placeholder, image word) replace pairs.  Letters
         the action fixes are left alone, so the identity needs no passes."""
-        if self._table is None:
-            src = bytearray()
-            dst = bytearray()
-            pairs = []
-            for ch, ph, image in zip(b"abc", b"uvw", self.phi):
-                if image == bytes((ch,)):
-                    continue
-                src += bytes((ch, ch ^ 0x20))
-                dst += bytes((ph, ph ^ 0x20))
-                pairs.append((bytes((ph,)), image))
-                pairs.append((bytes((ph ^ 0x20,)), _inv_str(image)))
-            self._table = (bytes.maketrans(bytes(src), bytes(dst)),
-                           tuple(pairs))
-        return self._table
+        src, dst, pairs = bytearray(), bytearray(), []
+        for ch, ph, image in zip(b"abc", b"uvw", self.phi):
+            if image == bytes((ch,)):
+                continue
+            src += bytes((ch, ch ^ 0x20))
+            dst += bytes((ph, ph ^ 0x20))
+            pairs.append((bytes((ph,)), image))
+            pairs.append((bytes((ph ^ 0x20,)), _inv_str(image)))
+        return bytes.maketrans(bytes(src), bytes(dst)), tuple(pairs)
 
-    @property
+    @cached_property
     def w_inv(self):
         """The inverse port correction words W_s^{-1}, derived on first
         use like ``table``: composing actions never needs them."""
-        if self._w_inv is None:
-            self._w_inv = tuple(map(_inv_str, self.w))
-        return self._w_inv
-
-    def key(self):
-        return (self.phi, self.w)
-
-    def __eq__(self, other):
-        return isinstance(other, ArcAction) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        return "ArcAction(phi=%r, w=%r)" % (self.phi, self.w)
+        return tuple(map(_inv_str, self.w))
 
 
 IDENTITY_ACTION = ArcAction((b"a", b"b", b"c"), (b"",) * 6)
@@ -328,7 +306,7 @@ def _action_from_polygon(polygon):
         phi3 = _cat_str(_inv_str(vs[2]), phi2)
         w = [_reduce_str(_encode(geometry.crossing_word(pair[side])))
              for pair in arcs]
-        actions.append(ArcAction((phi1, phi2, phi3), w))
+        actions.append(ArcAction((phi1, phi2, phi3), tuple(w)))
     return tuple(actions)
 
 
@@ -395,7 +373,11 @@ def make_arc(start, crossings, end):
 
 def canonical(arc):
     """Freely reduce the crossing word (remove all bigons); idempotent."""
-    return make_arc(arc.start, arc.crossings, arc.end)
+    try:
+        start, crossings, end = arc.start, arc.crossings, arc.end
+    except AttributeError:
+        raise MalformedArcError("not an arc: %r" % (arc,)) from None
+    return make_arc(start, crossings, end)
 
 
 def reverse(arc):
@@ -437,16 +419,19 @@ def arc_from_json(obj):
 
 
 def _require_canonical(arc):
-    """Refuse an arc built directly with an unknown port or crossing
-    letter, or with crossings that are not a sequence of letters
-    (``MalformedArcError``), or with a backtrack (``PreconditionError``)."""
+    """Refuse a non-arc, an unknown port or crossing letter, or crossings
+    that are not a sequence of letters (``MalformedArcError``), or a
+    backtrack (``PreconditionError``)."""
     try:
         known = arc.start in PORT_IDX and arc.end in PORT_IDX
+        crossings = arc.crossings
+    except AttributeError:
+        raise MalformedArcError("not an arc: %r" % (arc,)) from None
     except TypeError:                   # an unhashable port
         known = False
     if not known:
         raise MalformedArcError("unknown port %r" % ((arc.start, arc.end),))
-    if not _checked_word(arc.crossings)[1]:
+    if not _checked_word(crossings)[1]:
         raise PreconditionError("arc is not canonical: %r" % (arc,))
 
 
@@ -458,7 +443,7 @@ def _crossing_image(action, crossings):
 def _port_corrected(action, arc, image):
     """The image of ``arc`` given ``image`` = phi(arc.crossings): the arc
     from the same ports with crossing word  W_s^{-1} · phi(u) · W_t."""
-    word = _cat_str(_cat_str(_inv_str(action.w[PORT_IDX[arc.start]]), image),
+    word = _cat_str(_cat_str(action.w_inv[PORT_IDX[arc.start]], image),
                     action.w[PORT_IDX[arc.end]])
     return Arc(arc.start, _decode(word), arc.end)
 
@@ -525,14 +510,13 @@ class LibraryEntry(NamedTuple):
     kind: tuple              # ("neg", k) | ("zero", k) | ("cross",)
 
 
+@dataclass(frozen=True)
 class RVReport:
     """Outcome of a bounded left-witness search: the witness arc, or None
     when no arc of at most ``bound`` crossings is one."""
-
-    def __init__(self, bound, word, witness=None):
-        self.bound = bound
-        self.word = word
-        self.witness = witness
+    bound: int
+    word: tuple
+    witness: Arc | None = None
 
     @property
     def outcome(self):
@@ -553,18 +537,10 @@ class RVReport:
                        boundary=self.boundary)
         return out
 
-    def __repr__(self):
-        return "RVReport(%r, bound=%d, witness=%r)" % (
-            self.outcome, self.bound, self.witness)
-
 
 # ----------------------------------------------------------------------
 # the model: tables, certification, caches
 # ----------------------------------------------------------------------
-
-class _Found(Exception):
-    """Carries the first left witness out of the depth-first search."""
-
 
 class Model:
     """Certified twist tables plus all engine caches.  Build once via
@@ -676,15 +652,13 @@ class Model:
         terms = free_reduce(word)
         hit = self._action_cache.get(terms)
         if hit is None:
-            acc = IDENTITY_ACTION
+            hit = IDENTITY_ACTION
             for letter, exp in terms:
-                acc = _compose(acc, self.piece_action(letter, exp))
-            if sum(map(len, acc.phi)) < 50000:
-                if len(self._action_cache) > 20000:
-                    items = list(self._action_cache.items())
-                    self._action_cache = dict(items[len(items) // 2:])
-                self._action_cache[terms] = acc
-            hit = acc
+                hit = _compose(hit, self.piece_action(letter, exp))
+            if sum(map(len, hit.phi)) < 50000:
+                if len(self._action_cache) >= 20000:
+                    self._action_cache.clear()
+                self._action_cache[terms] = hit
         return hit
 
     def apply_action(self, action, arc):
@@ -978,8 +952,8 @@ def _dfs_search(model, action, bound):
         return _turns_left(s_idx, u, j, exit_img, exit_arc)
 
     def node(u, Q, len_common, rem, s_idx):
-        """Explore the subtree rooted at crossing word ``u``; raises _Found
-        on a witness."""
+        """Explore the subtree rooted at crossing word ``u``: its first
+        left witness, or None."""
         len_u, len_q = len(u), len(Q)
         in_word = len_common < len_u
 
@@ -988,16 +962,16 @@ def _dfs_search(model, action, bound):
             # comparison decides them all
             if _turns_left(s_idx, u, len_common, _EXIT[Q[len_common]],
                            _EXIT[u[len_common]]):
-                raise _Found(Arc(PORTS[s_idx], tuple(u), PORTS[0]))
+                return Arc(PORTS[s_idx], tuple(u), PORTS[0])
         else:
             for t in range(6):
                 if image_left(u, Q, len_common, s_idx, t, t):
-                    raise _Found(Arc(PORTS[s_idx], tuple(u), PORTS[t]))
+                    return Arc(PORTS[s_idx], tuple(u), PORTS[t])
         # order-interval prune (module docstring, step 4): the image of
         # the leftmost completion is not left of the rightmost one
         if rem == 0 or (in_word and not image_left(
                 u, Q, len_common, s_idx, _HI_PORT[u[-1]], _LO_PORT[u[-1]])):
-            return
+            return None
 
         last = u[-1] if u else 0
         for x in _LETTERS:
@@ -1013,19 +987,18 @@ def _dfs_search(model, action, bound):
             nq = len(Q)
             while lc < len_u + 1 and lc < nq and u[lc] == Q[lc]:
                 lc += 1
-            node(u, Q, lc, rem - 1, s_idx)
+            arc = node(u, Q, lc, rem - 1, s_idx)
+            if arc is not None:
+                return arc
             u.pop()
             del Q[len_q - p:]
             Q.extend(popped)
+        return None
 
     for s_idx in range(6):
-        Q = list(_inv(W[s_idx]))
-        try:
-            node([], Q, 0, bound, s_idx)
-        except _Found as found:
-            arc, = found.args
-            img = model.apply_action(action, arc)
-            if side_at_start(arc, img) != LEFT:
+        arc = node([], list(_inv(W[s_idx])), 0, bound, s_idx)
+        if arc is not None:
+            if side_at_start(arc, model.apply_action(action, arc)) != LEFT:
                 raise InvariantViolation("search produced a bad witness",
                                          arc=str(arc))
             return arc
@@ -1033,29 +1006,12 @@ def _dfs_search(model, action, bound):
 
 
 def _rv_search(terms, bound):
-    """Memoized core of is_right_veering_upto: first left witness for the
-    freely reduced word ``terms`` within ``bound`` crossings, or None.
-    The memo lives on the model, so an answer found before the model is
-    built is not memoized."""
-    key = (terms, bound)
-    model = _MODEL
-    if model is not None and key in model._rv_cache:
-        return model._rv_cache[key]
-    arc = _rv_search_uncached(terms, bound)
-    model = _MODEL                      # the search may have built it
-    if model is not None:
-        if len(model._rv_cache) > 10000:
-            items = list(model._rv_cache.items())
-            model._rv_cache = dict(items[len(items) // 2:])
-        model._rv_cache[key] = arc
-    return arc
-
-
-def _rv_search_uncached(terms, bound):
-    """The search of the module docstring.  The model is built only when a
-    probe pass has a candidate or the class is not right-veering."""
-    if not terms:
-        return None
+    """The search of the module docstring: the first left witness of the
+    freely reduced ``terms`` within ``bound`` crossings, or None.  The
+    model is built only when a probe pass has a candidate or the class is
+    not right-veering; only the sweep and depth-first answers are memoized."""
+    if not terms:           # the identity: no witness, and no prune cuts
+        return None         # its depth-first tree
     cheap, rest = _rank_library(terms)
     arc = _probe(cheap, terms)
     if arc is not None or right_veering(terms)[0]:
@@ -1064,12 +1020,17 @@ def _rv_search_uncached(terms, bound):
     if arc is not None:
         return arc
     model = get_model()
+    key = (terms, bound)
+    if key in model._rv_cache:
+        return model._rv_cache[key]
     action = model.word_action(terms)
-    if action == IDENTITY_ACTION:
-        return None
     # an Arc is always truthy
-    return (_canonical_sweep(action, min(1, bound))
-            or _dfs_search(model, action, bound))
+    arc = (_canonical_sweep(action, min(1, bound))
+           or _dfs_search(model, action, bound))
+    if len(model._rv_cache) >= 10000:
+        model._rv_cache.clear()
+    model._rv_cache[key] = arc
+    return arc
 
 
 # The depth-first search recurses once per crossing, so its deepest

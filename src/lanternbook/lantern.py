@@ -309,6 +309,8 @@ def rotation_conjugator(rf: ReducedForm, k: int) -> Word:
     class group to the expansion of rotation k: the peeled conjugating
     prefix followed by the first k core letters."""
     prefix, core = _peel(rf)
+    if type(k) is not int:
+        raise PreconditionError("k must be an int, got %r" % (k,))
     k %= sum(abs(exp) for _, exp in core) or 1
     head = []
     for letter, exp in core:    # the zero tails are dropped by concat

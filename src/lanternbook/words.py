@@ -181,6 +181,8 @@ def invert(word) -> Word:
 
 def power(word, k: int) -> Word:
     """k-fold concatenation (inverse word for negative k)."""
+    if type(k) is not int:
+        raise PreconditionError("k must be an int, got %r" % (k,))
     if k == 0:
         _checked(word)
         return ()

@@ -4,6 +4,7 @@ reference), the witness library, and the bounded left-witness search
 (including cross-validation of the pruned search against the unpruned
 reference sweep)."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -11,7 +12,8 @@ import random
 import pytest
 
 from lanternbook import engine, geometry
-from lanternbook.engine import (IDENTITY_ACTION, LEFT, RIGHT, Arc, Model,
+from lanternbook.engine import (IDENTITY_ACTION, LEFT, RIGHT, Arc, ArcAction,
+                                Model,
                                 _action_from_polygon,
                                 _canonical_sweep, _equal_by_action,
                                 apply_twist, apply_word, arc_from_json,
@@ -283,6 +285,19 @@ def test_arcs_built_directly_are_checked_at_every_entry_point():
             apply_word(arc, "")
         with pytest.raises(kind, match=message):
             arc_to_json(arc)
+
+
+@pytest.mark.parametrize("thing", [None, "P1", ("P1", (), "P4")],
+                         ids=["None", "str", "tuple"])
+@pytest.mark.parametrize("call", [
+    lambda x: side_at_start(x, Arc("P1", (), "P4")),
+    lambda x: apply_word(x, "e"), arc_to_json,
+    lambda x: apply_twist(x, "e"), canonical],
+    ids=["side_at_start", "apply_word", "arc_to_json", "apply_twist",
+         "canonical"])
+def test_entry_points_refuse_what_is_not_an_arc(call, thing):
+    with pytest.raises(MalformedArcError, match="not an arc"):
+        call(thing)
 
 
 def test_arc_json_round_trip():
@@ -727,6 +742,34 @@ def test_pruned_search_matches_the_reference_sweep(monkeypatch):
     assert outcomes == [True] * 4 + [False] * 5
 
 
+def test_only_searches_past_the_probe_are_memoized(monkeypatch):
+    model = get_model()
+    monkeypatch.setattr(model, "_rv_cache", {})
+    # settled by the library probe and by the right-veering rule
+    for text in ("a b c d e^-2 f^-1", "a b c d e^-2"):
+        is_right_veering_upto(text, 12)
+    assert model._rv_cache == {}
+    # settled by the depth-first search: its witness has 2 crossings
+    text = "a^4 b^4 c d^3 f e^-2 f^-2"
+    key = (free_reduce(parse(text)), 12)
+    witness = is_right_veering_upto(text, 12).witness
+    assert len(witness.crossings) == 2
+    assert list(model._rv_cache) == [key]
+
+    def unreachable(*args):
+        raise AssertionError("the memo was not read")
+
+    with monkeypatch.context() as patch:
+        for stage in ("_canonical_sweep", "_dfs_search"):
+            patch.setattr(engine, stage, unreachable)
+        assert is_right_veering_upto(text, 12).witness == witness
+    # a full memo is emptied before the next answer goes in
+    model._rv_cache.clear()
+    model._rv_cache.update({((("e", i),), 12): None for i in range(10000)})
+    is_right_veering_upto(text, 12)
+    assert list(model._rv_cache) == [key]
+
+
 def _first_left_witness(model, action, depth):
     """Reference for the sweep: every arc in length-major, start port,
     crossing word, end port order, each image computed on its own."""
@@ -901,6 +944,18 @@ def test_identity_action_is_identity():
     model = get_model()
     for arc in _small_arcs():
         assert model.apply_action(IDENTITY_ACTION, arc) == arc
+
+
+def test_arc_actions_are_values():
+    # equality and hashing see the two fields alone, not what has been
+    # derived from them
+    action = get_model().word_action(parse("e f^-1 g"))
+    assert action.table and action.w_inv
+    copy = ArcAction(action.phi, action.w)
+    assert copy == action and hash(copy) == hash(action)
+    assert len({action, copy}) == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        action.phi = IDENTITY_ACTION.phi
 
 
 def test_piece_action_of_a_zero_exponent_is_the_identity():

@@ -118,8 +118,8 @@ def test_trace_rule_agrees_with_the_witness_search(monkeypatch):
         assert verdict == (min(c) >= 0 and (m >= 0 or min(c) > 0)), w
         if verdict:
             bare = _without_right_twists(w)
-            assert engine._rv_search_uncached(bare, 10) is None or \
-                engine._rv_search_uncached(w, 10) is None, w
+            assert engine._rv_search(bare, 10) is None or \
+                engine._rv_search(w, 10) is None, w
         else:
             assert naive_first_witness(w, 10) is not None, w
         kind = "gh" if curve in "gh" else curve
@@ -240,7 +240,7 @@ def test_fdtc_threshold_matches_the_witness_search(monkeypatch):
                 r[k] = rk - shift
                 w = free_reduce(tuple(zip("abcd", r)) + P)
                 assert right_veering(w) == (verdict, "FDTC"), w
-                arc = engine._rv_search_uncached(w, 5)
+                arc = engine._rv_search(w, 5)
                 assert (arc is None) == verdict, (w, arc)
     assert len(taus) >= 4, taus
 

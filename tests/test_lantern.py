@@ -22,7 +22,7 @@ from lanternbook.lantern import (PositiveFactorization, ReducedForm,
                                  rotation_conjugator, substitute_gh)
 from lanternbook.words import (concat, exponent_class, format_word,
                                free_reduce, invert, merge_terms, mirror_word,
-                               parse)
+                               parse, power)
 
 raw_terms = st.lists(
     st.tuples(st.sampled_from("abcdefgh"),
@@ -169,6 +169,15 @@ def test_non_int_exponents_are_refused():
                       ((0, 0, 0, 0), ((2.0, 1),))]:
         with pytest.raises(PreconditionError, match="not an int"):
             ReducedForm(r, blocks)
+
+
+@pytest.mark.parametrize("k", [1.5, "2", None, True])
+def test_non_int_counts_are_refused(k):
+    # True == 1 would pass for a count, as it would for an exponent
+    w = parse("a b c d e f^-2")
+    for call in (power, lambda w, k: rotation_conjugator(reduce(w), k)):
+        with pytest.raises(PreconditionError, match="k must be an int"):
+            call(w, k)
 
 
 def test_json_round_trip():
