@@ -21,8 +21,8 @@ reference arc out) transforms by phi.
 **Equality oracle.**  Equality in the mapping class group is decided by
 the slope matrices plus the exponent class (:mod:`.invariant`, whose
 docstring states the invariant); ``equal_in_mcg`` is re-exported here.
-Every model build certifies that invariant, with the slopes the module
-pinned, against the arc action (``_PIN_CHECKS``).
+Every model build certifies that invariant, with the slopes
+:mod:`.invariant` states, against the arc action (``_PIN_CHECKS``).
 
 The action data stay the geometric reference (``_equal_by_action``):
 two words are equal in the mapping class group iff their action data
@@ -123,8 +123,7 @@ from typing import NamedTuple
 
 from . import geometry
 from .errors import InvariantViolation, MalformedArcError, PreconditionError
-from .invariant import (SLOPE_CANDIDATES, SLOPES, _invariant, _terms,
-                        right_veering)
+from .invariant import SLOPES, _invariant, _terms, right_veering
 from .invariant import equal_in_mcg  # noqa: F401  (re-exported)
 from .words import (BOUNDARY, GENERATORS, format_word,
                     free_reduce, parse)
@@ -316,7 +315,7 @@ def _action_from_polygon(polygon):
 _PORT_WORD_CUTS = {"a": (0, 1, 1, 1, 1, 1), "e": (0, 0, 0, 2, 2, 2),
                    "f": (None,) * 5 + (0,)}
 
-# word pairs (one positive twist per letter) that the pinned invariant must
+# word pairs (one positive twist per letter) that the invariant must
 # decide as the arc action does: the lantern relations, their reorderings,
 # and two pairs of distinct mapping classes
 _PIN_CHECKS = (("gef", "abcd"), ("hfe", "abcd"), ("gfe", "abcd"),
@@ -550,22 +549,19 @@ class Model:
     def __init__(self):
         start = time.process_time()
         geometry.validate_model_data()
-        raw = {}
-        for name in ("a", "b", "c", "d", "e", "f", "u", "v"):
+        self.tables = {}
+        for name in GENERATORS:
             plus, minus = _action_from_polygon(geometry.CURVE_POLYGONS[name])
             if _compose(plus, minus) != IDENTITY_ACTION \
                     or _compose(minus, plus) != IDENTITY_ACTION:
                 raise InvariantViolation("twist inverse pair failed",
                                          curve=name)
-            raw[name] = (plus, minus)
-        self.tables = {k: raw[k] for k in "abcdef"}
-        self._assign_gh(raw)
+            self.tables[name] = (plus, minus)
         self._certify_tables()
-        self.slopes = self._certify_slopes()
+        self._certify_slopes()
         self._piece_cache = {}
         self._action_cache = {}
         self._rv_cache = {}
-        self.library = None
         self.library_build_s = None
         self.build_s = time.process_time() - start
 
@@ -578,42 +574,16 @@ class Model:
             acc = _compose(acc, self.tables[letter][0 if sign > 0 else 1])
         return acc
 
-    def _assign_gh(self, raw):
-        """Decide which of the two remaining curves is g and which is h by
-        certifying the relations  g e f = a b c d  and  h f e = a b c d
-        against the arc action; exactly one assignment may pass."""
-        abcd = self._letters_action((k, 1) for k in "abcd")
-        winners = []
-        for gname, hname in (("u", "v"), ("v", "u")):
-            gef = _compose(_compose(raw[gname][0], raw["e"][0]), raw["f"][0])
-            hfe = _compose(_compose(raw[hname][0], raw["f"][0]), raw["e"][0])
-            if gef == abcd and hfe == abcd:
-                winners.append((gname, hname))
-        if len(winners) != 1:
-            raise InvariantViolation("curve naming not pinned by relations",
-                                     winners=str(winners))
-        gname, hname = winners[0]
-        self.tables["g"] = raw[gname]
-        self.tables["h"] = raw[hname]
-
     def _certify_slopes(self):
-        """The slope assignment the arc action certifies: of the two
-        candidates, the one under which the invariant decides every pair
-        of ``_PIN_CHECKS`` as the arc action does.  It must be the one
-        :mod:`.invariant` pinned from the lantern relations alone."""
-        pairs = [tuple(tuple((x, 1) for x in w) for w in pair)
-                 for pair in _PIN_CHECKS]
-        by_action = [self._letters_action(t1) == self._letters_action(t2)
-                     for t1, t2 in pairs]
-        winners = [slopes for slopes in SLOPE_CANDIDATES
-                   if by_action == [_invariant(slopes, t1)
-                                    == _invariant(slopes, t2)
-                                    for t1, t2 in pairs]]
-        if winners != [SLOPES]:
-            raise InvariantViolation("slope invariant disagrees with the "
-                                     "arc action", pinned=str(SLOPES),
-                                     certified=str(winners))
-        return SLOPES
+        """The invariant, with the slopes :mod:`.invariant` states, decides
+        every pair of ``_PIN_CHECKS`` as the arc action does."""
+        for pair in _PIN_CHECKS:
+            t1, t2 = (tuple((x, 1) for x in w) for w in pair)
+            by_action = self._letters_action(t1) == self._letters_action(t2)
+            if by_action != (_invariant(SLOPES, t1) == _invariant(SLOPES, t2)):
+                raise InvariantViolation("slope invariant disagrees with the "
+                                         "arc action", pair=pair,
+                                         slopes=str(SLOPES))
 
     def _certify_tables(self):
         for k in BOUNDARY:
@@ -689,13 +659,14 @@ class Model:
     # -- library ----------------------------------------------------------
 
     def ensure_library(self):
-        if self.library is None:
+        """The witness library, certified on this model at the first call."""
+        if self.library_build_s is None:
             start = time.process_time()
             self._certify_anchors()
             self._certify_order_preservation()
-            self.library = _build_library(self)
+            _certify_library(self)
             self.library_build_s = time.process_time() - start
-        return self.library
+        return _LIBRARY
 
     def _certify_anchors(self):
         """Each positive generator moves no arc of at most 2 crossings
@@ -844,7 +815,7 @@ _LIBRARY = tuple(
 _PROBE_ARCS = tuple((entry.arc, reverse(entry.arc)) for entry in _LIBRARY)
 
 
-def _build_library(model):
+def _certify_library(model):
     """Certify every entry through the public path: each of its patterns
     moves its arc to the arc's own left."""
     for entry in _LIBRARY:
@@ -853,7 +824,6 @@ def _build_library(model):
             if side_at_start(entry.arc, img) != LEFT:
                 raise InvariantViolation("library witness failed validation",
                                          name=entry.name)
-    return _LIBRARY
 
 
 def witness_library():

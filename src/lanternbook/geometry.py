@@ -28,9 +28,8 @@ The module provides:
   endpoint, touching segments);
 * the concrete model data: basepoint, three basis loops for the free
   fundamental group, one reference arc per boundary port, and polygon
-  representatives of the eight twist curves (two candidates ``u``/``v``
-  for the {C1,C3}-separating pair, told apart later by the lantern
-  relations);
+  representatives of the eight twist curves, keyed by the generator that
+  twists along each;
 * ``splice``: the right and left Dehn-twist images of a polyline, from
   one pass over its crossings with the curve.  At every transverse
   intersection with the twist curve one full copy of the curve polygon is
@@ -385,10 +384,10 @@ REFERENCE_ARCS = {
 }
 
 # Twist-curve polygons.  a,b,c,d are boundary-parallel boxes; e separates
-# {C1,C2} from {C3,C4}; f separates {C2,C3} from {C1,C4}; u and v are the
-# two {C1,C3}-separating dumbbells (neck passing above / below C2) -- the
-# engine decides which is which of the remaining two generator names by
-# certifying both lantern relations.
+# {C1,C2} from {C3,C4}; f separates {C2,C3} from {C1,C4}; g and h are the
+# two {C1,C3}-separating dumbbells, with the neck passing below / above
+# C2.  That naming is the one under which the lantern relations
+# g e f = h f e = a b c d hold, which every model build certifies.
 CURVE_POLYGONS = {
     "a": _pts(("133/100", "33/100"), ("67/100", "33/100"),
               ("67/100", "-33/100"), ("133/100", "-33/100")),
@@ -402,19 +401,19 @@ CURVE_POLYGONS = {
               ("3/10", "-4/5"), ("27/10", "-4/5")),
     "f": _pts(("37/10", "3/5"), ("13/10", "3/5"),
               ("13/10", "-3/5"), ("37/10", "-3/5")),
-    "u": _pts(("11/20", "23/50"), ("11/20", "-19/50"), ("29/20", "-19/50"),
-              ("29/20", "9/25"), ("51/20", "9/25"), ("51/20", "-19/50"),
-              ("69/20", "-19/50"), ("69/20", "23/50")),
-    "v": _pts(("11/20", "-23/50"), ("11/20", "19/50"), ("29/20", "19/50"),
+    "g": _pts(("11/20", "-23/50"), ("11/20", "19/50"), ("29/20", "19/50"),
               ("29/20", "-9/25"), ("51/20", "-9/25"), ("51/20", "19/50"),
               ("69/20", "19/50"), ("69/20", "-23/50")),
+    "h": _pts(("11/20", "23/50"), ("11/20", "-19/50"), ("29/20", "-19/50"),
+              ("29/20", "9/25"), ("51/20", "9/25"), ("51/20", "-19/50"),
+              ("69/20", "-19/50"), ("69/20", "23/50")),
 }
 
 # own crossing words of the curve polygons, as listed (documentation and
 # build-time assertion; the letters also show which holes each separates)
 CURVE_WORDS = {
     "a": (-1,), "b": (1, -2), "c": (2, -3), "d": (3,),
-    "e": (-2,), "f": (1, -3), "u": (-1, 2, -3), "v": (1, -2, 3),
+    "e": (-2,), "f": (1, -3), "g": (1, -2, 3), "h": (-1, 2, -3),
 }
 
 

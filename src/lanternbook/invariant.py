@@ -6,16 +6,17 @@ boundary twists span the central Z^4, and T_e, T_f generate a free group
 that maps isomorphically onto the level-2 subgroup of PSL(2,Z), which is
 Gamma(2)/+-I (Farb-Margalit, *A Primer on Mapping Class Groups*,
 Ch. 2-3).  The twist about the curve of slope p/q acts by the matrix
-[[1-2pq, 2p^2], [-2q^2, 1+2pq]], with e = 1/0, f = 0/1 and g, h = +-1;
-boundary twists act trivially.  The F_2 factor is read off the product of
-twist matrices up to sign (:func:`_slope_product`), and the Z^4 factor
-then off the exponent class (the abelianization), so the pair is a
-complete invariant and :func:`equal_in_mcg` costs O(length) integer
-multiplies.  Which of +-1 is g's slope is pinned at import by the
-lantern relations alone: exactly one assignment makes both  g e f  and
-h f e  trivial in PSL(2,Z) (:data:`SLOPES`).  The arc engine
-(:mod:`lanternbook.engine`) certifies the pinned invariant against its
-geometric action whenever it builds its model.
+[[1-2pq, 2p^2], [-2q^2, 1+2pq]], with e = 1/0, f = 0/1, g = 1/1 and
+h = -1/1; boundary twists act trivially.  The F_2 factor is read off the
+product of twist matrices up to sign (:func:`_slope_product`), and the
+Z^4 factor then off the exponent class (the abelianization), so the pair
+is a complete invariant and :func:`equal_in_mcg` costs O(length) integer
+multiplies.  The slopes are stated once (:data:`SLOPES`) and checked at
+import against the lantern relations alone: both  g e f  and  h f e
+must be trivial in PSL(2,Z) (:func:`_certify_relations`), which fails
+if g's and h's slopes are swapped.  The arc engine
+(:mod:`lanternbook.engine`) certifies the invariant with these slopes
+against its geometric action whenever it builds its model.
 
 **Right-veering by trace.**  Gamma(2) is torsion-free and every trace in
 it is 2 mod 4, so the image M of the F_2 part of phi falls in one of
@@ -111,15 +112,11 @@ from .errors import InvariantViolation
 from .words import (_canonical_class, _exponent_sums, merge_terms,
                     parse)
 
-_EF_SLOPES = {"e": (1, 0), "f": (0, 1)}
-_GH_SLOPES = ((1, 1), (-1, 1))          # slopes +1 and -1; one is g's
+SLOPES = {"e": (1, 0), "f": (0, 1), "g": (1, 1), "h": (-1, 1)}
 _IDENTITY_MATRIX = (1, 0, 0, 1)
 # passes of the word in :func:`twist_number`: the count is within 2 of
 # _PASSES * tau, so it rounds exactly from 5 on
 _PASSES = 5
-# the two candidate assignments of the slopes +-1 to g and h
-SLOPE_CANDIDATES = tuple(dict(_EF_SLOPES, g=g, h=h)
-                         for g, h in (_GH_SLOPES, _GH_SLOPES[::-1]))
 
 
 def _slope_product(slopes, terms):
@@ -140,20 +137,17 @@ def _slope_product(slopes, terms):
     return (a, b, c, d) if a > 0 or (a == 0 and b > 0) else (-a, -b, -c, -d)
 
 
-def _pin_slopes():
-    """The one candidate under which  g e f  and  h f e  are trivial in
-    PSL(2,Z)."""
-    relations = (parse("g e f"), parse("h f e"))
-    winners = [slopes for slopes in SLOPE_CANDIDATES
-               if all(_slope_product(slopes, w) == _IDENTITY_MATRIX
-                      for w in relations)]
-    if len(winners) != 1:
-        raise InvariantViolation("slope of g not pinned by relations",
-                                 winners=str(winners))
-    return winners[0]
+def _certify_relations(slopes):
+    """Raise :class:`InvariantViolation` unless ``slopes`` make both
+    lantern relations  g e f = a b c d  and  h f e = a b c d  hold in
+    PSL(2,Z), where the boundary twists a b c d act trivially."""
+    for relation in ("g e f", "h f e"):
+        if _slope_product(slopes, parse(relation)) != _IDENTITY_MATRIX:
+            raise InvariantViolation("lantern relation fails in PSL(2,Z)",
+                                     relation=relation, slopes=str(slopes))
 
 
-SLOPES = _pin_slopes()
+_certify_relations(SLOPES)
 
 
 def _invariant(slopes, terms):

@@ -75,8 +75,12 @@ class ReducedForm:
     blocks: tuple
 
     def __post_init__(self):
-        r = tuple(self.r)
-        blocks = tuple((m, n) for m, n in self.blocks)
+        try:
+            r = tuple(self.r)
+            blocks = tuple((m, n) for m, n in self.blocks)
+        except (TypeError, ValueError) as exc:
+            raise PreconditionError("malformed r or blocks: %s" % exc) \
+                from None
         if len(r) != 4:
             raise PreconditionError(
                 "r must have four components, got %r" % (self.r,))

@@ -34,6 +34,7 @@ Printing uses single spaces between terms and omits ``^1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from .errors import PreconditionError, WordSyntaxError
 
@@ -111,8 +112,11 @@ def parse(text: str) -> Word:
 
     Raises :class:`WordSyntaxError` (carrying the 0-based offset) on any
     character outside the grammar, on a caret with no digits after it, and
-    on a dangling caret at end of input.
+    on a dangling caret at end of input, and :class:`PreconditionError`
+    when ``text`` is not a ``str``.
     """
+    if not isinstance(text, str):
+        raise PreconditionError("word text must be a str, got %r" % (text,))
     terms: list[Term] = []
     i, n = 0, len(text)
     while i < n:
@@ -168,10 +172,7 @@ def free_reduce(terms) -> Word:
 
 def concat(*words) -> Word:
     """Concatenate words with free reduction at the seams."""
-    terms = []
-    for w in words:
-        terms.extend(w)
-    return merge_terms(terms)
+    return merge_terms(chain.from_iterable(words))
 
 
 def invert(word) -> Word:
@@ -187,7 +188,7 @@ def power(word, k: int) -> Word:
         _checked(word)
         return ()
     base = word if k > 0 else invert(word)
-    return merge_terms([t for _ in range(abs(k)) for t in base])
+    return merge_terms(chain.from_iterable(repeat(base, abs(k))))
 
 
 def word_length(word) -> int:

@@ -6,6 +6,8 @@ import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -208,6 +210,30 @@ def test_census_bytes_are_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
 
+# a documented command and the output lines shown under it, up to the
+# next blank line
+_README_COMMAND = re.compile(r"^\$ (lanternbook .*)\n((?:.+\n)*)", re.M)
+
+
+def test_readme_commands_print_what_the_readme_shows(capsys):
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = "".join(re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S))
+    commands = _README_COMMAND.findall(blocks)
+    assert len(commands) == 7
+    for command, shown in commands:
+        lines = shown.splitlines()
+        truncated = lines[-1:] == ["\u2026"]   # the stream goes on
+        if truncated:
+            lines.pop()
+        code, out, _ = run_cli(capsys, *shlex.split(command)[1:])
+        printed = out.splitlines()
+        assert code == 0, command
+        if truncated:
+            assert len(printed) > len(lines), command
+            del printed[len(lines):]
+        assert printed == lines, command
+
+
 def test_census_rejects_bad_ranges(capsys):
     for bad in ["", "r1=1..0", "q=1..2", "r1=1..2,r1=1..2", "r5=0..1"]:
         code, _, err = run_cli(capsys, "census", "--range", bad)
@@ -229,15 +255,15 @@ def _cli_process(*argv):
 def test_a_closed_stdout_ends_the_run_quietly():
     # `lanternbook census --range ... | head -1`: the reader leaves after
     # one line of a stream far larger than a pipe buffer
-    proc = _cli_process("census", "--range",
-                        "r1=-3..3,r2=-3..3,r3=-3..3,m1=-3..3,n1=-3..3")
-    try:
-        first = proc.stdout.readline()
-        proc.stdout.close()
-        err = proc.stderr.read()
-        code = proc.wait(timeout=120)
-    finally:
-        proc.kill()
+    with _cli_process("census", "--range",
+                      "r1=-3..3,r2=-3..3,r3=-3..3,m1=-3..3,n1=-3..3") as proc:
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        finally:
+            proc.kill()
     assert first.startswith(b"r1=-3 r2=-3 r3=-3 r4=0 m1=-3 n1=-3 :: ")
     assert code == 1 and b"Traceback" not in err, err
 

@@ -1,7 +1,8 @@
-"""The engine-free invariant layer: the slope pin and its certification by
-the arc engine, right-veering by trace and by the FDTC against the
-bounded witness search and the classification rules, and the import
-boundary that keeps the arc engine out of every command but check-rv."""
+"""The engine-free invariant layer: the stated slopes and their
+certification by the lantern relations and the arc engine, right-veering
+by trace and by the FDTC against the bounded witness search and the
+classification rules, and the import boundary that keeps the arc engine
+out of every command but check-rv."""
 
 import collections
 import itertools
@@ -21,8 +22,9 @@ from lanternbook import engine
 from lanternbook import classify, classify_rules
 from lanternbook.engine import Model, get_model
 from lanternbook.errors import InvariantViolation, PreconditionError
-from lanternbook.invariant import (SLOPE_CANDIDATES, SLOPES, _slope_product,
-                                   right_veering, twist_number)
+from lanternbook.invariant import (SLOPES, _certify_relations,
+                                   _slope_product, right_veering,
+                                   twist_number)
 from lanternbook.lantern import ReducedForm, expand, reduce
 from lanternbook.words import (GENERATORS, INTERIOR, concat,
                                exponent_class, free_reduce, invert,
@@ -39,16 +41,18 @@ raw_terms = st.lists(
 words = raw_terms.map(lambda ts: merge_terms(ts))
 
 
-# -- the slope pin ------------------------------------------------------
+# -- the stated slopes -------------------------------------------------
 
 def test_pinned_slopes_are_the_arc_certified_ones():
-    assert Model().slopes == SLOPES == get_model().slopes
+    Model()                     # certifies SLOPES against the arc action
     assert SLOPES["g"] in ((1, 1), (-1, 1))
     assert SLOPES["h"] == (-SLOPES["g"][0], 1)
 
 
 def test_a_flipped_pin_fails_the_model_build(monkeypatch):
-    flipped, = [s for s in SLOPE_CANDIDATES if s != SLOPES]
+    flipped = dict(SLOPES, g=SLOPES["h"], h=SLOPES["g"])
+    with pytest.raises(InvariantViolation, match="lantern relation fails"):
+        _certify_relations(flipped)
     monkeypatch.setattr(engine, "SLOPES", flipped)
     with pytest.raises(InvariantViolation, match="disagrees with the arc"):
         Model()

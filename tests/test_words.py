@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from lanternbook.errors import PreconditionError, WordSyntaxError
 from lanternbook.invariant import equal_in_mcg
-from lanternbook.lantern import reduce, substitute_gh
+from lanternbook.lantern import ReducedForm, reduce, substitute_gh
 from lanternbook.words import (BOUNDARY, GENERATORS, concat, exponent_class,
                                format_word, free_reduce, invert, merge_terms,
                                mirror_word, parse, power, word_length)
@@ -106,6 +106,17 @@ def test_word_helpers_reject_malformed_terms():
                   (("e", True),), 5):
             with pytest.raises(PreconditionError):
                 helper(w)
+
+
+@pytest.mark.parametrize("call, args", [
+    (parse, (None,)), (parse, (5,)), (parse, (b"e",)), (parse, (["e"],)),
+    (concat, (None,)), (concat, ((("e", 1),), None)), (power, (None, 2)),
+    (ReducedForm, (None, ())), (ReducedForm, ((0,) * 4, None)),
+    (ReducedForm, ((0,) * 4, (5,))), (ReducedForm, ((0,) * 4, ((1,),))),
+])
+def test_public_entry_points_refuse_what_is_not_a_word(call, args):
+    with pytest.raises(PreconditionError):
+        call(*args)
 
 
 @given(words)
