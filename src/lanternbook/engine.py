@@ -44,11 +44,11 @@ whose exit edge has the *smaller* counterclockwise offset from the entry
 edge passes to the *right* of the other.  This offset comparison is a
 total order on arcs from a fixed start (lexicographic over the planar
 tree of reduced crossing words), which the witness search relies on.
-``_turns_left`` states it once; ``side_at_start`` and every comparison
-of the witness search decide their divergence through it.
-``side_at_start`` checks that both arcs are canonical and then calls the
-unchecked ``_side``, which the probe and the sweeps call directly on the
-arcs they build themselves.
+``_turns_left`` states it once, and every comparison decides its
+divergence through it.  ``side_at_start`` checks that both arcs are
+canonical and calls the unchecked ``_side``, which reads the ports and
+calls ``_side_of`` on the raw data; the probe and the batteries call
+``_side``, and the sweeps ``_side_of``, on what they build themselves.
 
 **Witness search.**  ``is_right_veering_upto`` looks for an arc mapped to
 its own left at its start ("left witness").  The search is layered and
@@ -105,13 +105,13 @@ end port in listed order, then children by crossing letter +1, -1, +2,
 **Build.**  The model certifies itself at construction and again when
 the witness library is built: the library build runs the anchor and
 order batteries and checks each of the nine stated library arcs against
-every defining word of its entry.  The certifiers share their images
-rather than recompute them: each polyline is spliced once for both
-twist signs, the order battery takes each arc's image under each word
-once and compares every pair from those images, and a sweep substitutes
-each crossing word once for all of its (start, end) port pairs.
-``Model.build_s`` and ``Model.library_build_s`` record the CPU seconds
-of the two builds.
+every defining word of its entry.  The geometry is integer arithmetic
+and the certifiers share their work: each polyline is spliced once for
+both signs; the order battery images each arc once per word, checks each
+arc and image once (a bad one is an ``InvariantViolation``) and compares
+every pair unchecked; a sweep substitutes each crossing word once for
+all its port pairs and builds an ``Arc`` only for its witness.  The CPU
+seconds of the two builds are ``Model.build_s`` and ``library_build_s``.
 """
 
 from __future__ import annotations
@@ -417,10 +417,10 @@ def arc_from_json(obj):
     return make_arc(start, word, end)
 
 
-def _require_canonical(arc):
+def _require_canonical(arc, fault=PreconditionError):
     """Refuse a non-arc, an unknown port or crossing letter, or crossings
     that are not a sequence of letters (``MalformedArcError``), or a
-    backtrack (``PreconditionError``)."""
+    backtrack (``fault``: ``InvariantViolation`` for an engine-built arc)."""
     try:
         known = arc.start in PORT_IDX and arc.end in PORT_IDX
         crossings = arc.crossings
@@ -431,7 +431,7 @@ def _require_canonical(arc):
     if not known:
         raise MalformedArcError("unknown port %r" % ((arc.start, arc.end),))
     if not _checked_word(crossings)[1]:
-        raise PreconditionError("arc is not canonical: %r" % (arc,))
+        raise fault("arc is not canonical: %r" % (arc,))
 
 
 def _crossing_image(action, crossings):
@@ -468,23 +468,29 @@ def side_at_start(alpha, beta):
 def _side(alpha, beta):
     """:func:`side_at_start` for arcs the engine built itself, canonical by
     construction: the library arcs (certified when the library is built)
-    and the images a fold or a sweep computes."""
+    and the images a fold or a battery computes."""
     if alpha.start != beta.start:
         raise PreconditionError("arcs start on different ports")
-    u, v = alpha.crossings, beta.crossings
-    k = 0
-    while k < len(u) and k < len(v) and u[k] == v[k]:
-        k += 1
-    if k == len(u) == len(v) and alpha.end == beta.end:
-        return EQUAL
-    exit_a = _EXIT[u[k]] if k < len(u) else _EDGE_OF_PORT[PORT_IDX[alpha.end]]
-    exit_b = _EXIT[v[k]] if k < len(v) else _EDGE_OF_PORT[PORT_IDX[beta.end]]
     try:
-        return LEFT if _turns_left(PORT_IDX[alpha.start], u, k,
-                                   exit_b, exit_a) else RIGHT
+        return _side_of(PORT_IDX[alpha.start], alpha.crossings,
+                        PORT_IDX[alpha.end], beta.crossings,
+                        PORT_IDX[beta.end])
     except InvariantViolation as exc:
         exc.details.update(alpha=str(alpha), beta=str(beta))
         raise
+
+
+def _side_of(s, u, t_u, v, t_v):
+    """:func:`_side` on raw arc data: the side of the arc (s, u, t_u) that
+    the arc (s, v, t_v) leaves from, with the ports given as indices."""
+    k = 0
+    while k < len(u) and k < len(v) and u[k] == v[k]:
+        k += 1
+    if k == len(u) == len(v) and t_u == t_v:
+        return EQUAL
+    exit_u = _EXIT[u[k]] if k < len(u) else _EDGE_OF_PORT[t_u]
+    exit_v = _EXIT[v[k]] if k < len(v) else _EDGE_OF_PORT[t_v]
+    return LEFT if _turns_left(s, u, k, exit_v, exit_u) else RIGHT
 
 
 def _turns_left(s_idx, prefix, k, exit_a, exit_b):
@@ -696,11 +702,13 @@ class Model:
             # images[k][i]: the image of arcs[i] under actions[k]
             images = [[self.apply_action(action, arc) for arc in arcs]
                       for action in actions]
+            for arc in arcs + [im for row in images for im in row]:
+                _require_canonical(arc, InvariantViolation)
             for i, alpha in enumerate(arcs):
                 for j, beta in enumerate(arcs[i + 1:], start=i + 1):
-                    base = side_at_start(alpha, beta)
+                    base = _side(alpha, beta)
                     for image in images:
-                        moved = side_at_start(image[i], image[j])
+                        moved = _side(image[i], image[j])
                         if moved != base:
                             raise InvariantViolation(
                                 "image does not preserve the side order",
@@ -771,18 +779,20 @@ def _canonical_sweep(action, depth):
     with at most ``depth`` crossings whose image under ``action`` leaves to
     its left.  The reference enumeration: exhaustive and unpruned."""
     # phi(u) does not depend on the ports, so each crossing word is
-    # substituted once and shared by all its (start, end) pairs
+    # substituted once for all its (start, end) pairs; only a witness
+    # becomes an Arc
     images = {}
     for n in range(depth + 1):
-        for s in PORTS:
+        for s in range(6):
             for u in _iter_reduced_words(n):
                 image = images.get(u)
                 if image is None:
                     image = images[u] = _crossing_image(action, u)
-                for t in PORTS:
-                    arc = Arc(s, u, t)
-                    if _side(arc, _port_corrected(action, arc, image)) == LEFT:
-                        return arc
+                head = _cat_str(action.w_inv[s], image)
+                for t in range(6):
+                    v = _decode(_cat_str(head, action.w[t]))
+                    if _side_of(s, u, t, v, t) == LEFT:
+                        return Arc(PORTS[s], u, PORTS[t])
     return None
 
 
@@ -821,7 +831,8 @@ def _certify_library(model):
     for entry in _LIBRARY:
         for pattern in entry.patterns:
             img = model.apply_word(entry.arc, pattern)
-            if side_at_start(entry.arc, img) != LEFT:
+            _require_canonical(img, InvariantViolation)
+            if _side(entry.arc, img) != LEFT:
                 raise InvariantViolation("library witness failed validation",
                                          name=entry.name)
 

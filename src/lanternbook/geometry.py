@@ -1,8 +1,9 @@
 """Exact planar model of the four-holed sphere and the twist-curve splice.
 
-Everything here is computed in rational arithmetic (``fractions.Fraction``)
-so there are no tolerances anywhere.  The surface is the 2-sphere (the
-plane plus a point at infinity) with four round holes removed:
+The data are ``int``s on the 1/100 grid, scaled by ``SCALE``, and only a
+crossing parameter is a ``fractions.Fraction``, so nothing needs a
+tolerance.  The surface is the 2-sphere (the plane plus a point at
+infinity) with four round holes removed (unscaled):
 
 * holes centered at (1,0), (2,0), (3,0), (4,0), each of radius 1/4; the
   boundary circles are C1..C4.
@@ -10,9 +11,9 @@ plane plus a point at infinity) with four round holes removed:
 A fixed *cut system* of three arcs lies on the x-axis between consecutive
 holes::
 
-    cut 1 : [5/4, 7/4] x {0}     (from C1 to C2)
-    cut 2 : [9/4, 11/4] x {0}    (from C2 to C3)
-    cut 3 : [13/4, 15/4] x {0}   (from C3 to C4)
+    cut 1 : (5/4, 7/4) x {0}     (from C1 to C2)
+    cut 2 : (9/4, 11/4) x {0}    (from C2 to C3)
+    cut 3 : (13/4, 15/4) x {0}   (from C3 to C4)
 
 Cutting along all three opens the surface into a single disk (a 12-gon).
 A curve or arc drawn as a polyline is encoded by its *crossing word*: the
@@ -66,13 +67,13 @@ from .errors import InvariantViolation
 # fixed model constants
 # ----------------------------------------------------------------------
 
-RADIUS = Fr(1, 4)
+SCALE = 100
+RADIUS = SCALE // 4
 RADIUS2 = RADIUS * RADIUS
-HOLES = {1: (Fr(1), Fr(0)), 2: (Fr(2), Fr(0)), 3: (Fr(3), Fr(0)),
-         4: (Fr(4), Fr(0))}
+HOLES = {k: (SCALE * k, 0) for k in (1, 2, 3, 4)}
 
 # open x-intervals of the three cuts on the axis
-CUTS = {i: (Fr(i) + Fr(1, 4), Fr(i) + Fr(3, 4)) for i in (1, 2, 3)}
+CUTS = {i: (SCALE * i + RADIUS, SCALE * i + 3 * RADIUS) for i in (1, 2, 3)}
 CUT_ENDPOINTS = sorted(x for lo_hi in CUTS.values() for x in lo_hi)
 
 # ports, in the canonical enumeration order
@@ -124,8 +125,8 @@ def _dot(u, v):
 
 def segment_clears_disk(p, q, center, allow_p=False, allow_q=False):
     """True iff the segment pq stays strictly outside the closed disk of
-    radius 1/4 about ``center``, except that an endpoint may lie exactly on
-    the circle when allowed (the segment must then leave the circle
+    radius RADIUS about ``center``, except that an endpoint may lie exactly
+    on the circle when allowed (the segment must then leave the circle
     immediately, i.e. approach from strictly outside)."""
     d = _sub(q, p)
     w = _sub(p, center)
@@ -221,8 +222,8 @@ def segment_cross(p, q, r, s):
         raise InvariantViolation(
             "non-generic segment configuration",
             seg1=(str(p), str(q)), seg2=(str(r), str(s)))
-    denom = _det(*d1, *d2)
-    t = _det(*_sub(r, p), *d2) / denom
+    # Fraction(num, den), not num / den: on ints "/" gives a float
+    t = Fr(_det(*_sub(r, p), *d2), _det(*d1, *d2))
     point = (p[0] + t * d1[0], p[1] + t * d1[1])
     return t, point
 
@@ -249,12 +250,9 @@ def _axis_crossing(p, q):
     with direction +1 for downward, else None.  Vertices on the axis are
     non-generic and rejected by the caller."""
     y0, y1 = p[1], q[1]
-    if y0 > 0 > y1:
-        t = y0 / (y0 - y1)
-        return p[0] + t * (q[0] - p[0]), +1
-    if y0 < 0 < y1:
-        t = y0 / (y0 - y1)
-        return p[0] + t * (q[0] - p[0]), -1
+    if (y0 > 0 > y1) or (y0 < 0 < y1):
+        t = Fr(y0, y0 - y1)
+        return p[0] + t * (q[0] - p[0]), (+1 if y0 > 0 else -1)
     return None
 
 
@@ -346,11 +344,16 @@ def splice(points, polygon):
 # ----------------------------------------------------------------------
 
 def _pts(*coords):
-    return [(Fr(x), Fr(y)) for x, y in coords]
+    """The points with each coordinate (an int or a fraction string) scaled
+    by SCALE to an int; a point off the 1/SCALE grid is refused."""
+    scaled = [(Fr(x) * SCALE, Fr(y) * SCALE) for x, y in coords]
+    if any(v.denominator != 1 for point in scaled for v in point):
+        raise InvariantViolation("model point off the grid", points=coords)
+    return [(x.numerator, y.numerator) for x, y in scaled]
 
 
 # basepoint: top of C1
-BASEPOINT = (Fr(1), Fr(1, 4))
+BASEPOINT = _pts((1, "1/4"))[0]
 
 # Basis loops for the free fundamental group at the basepoint, given with
 # their crossing words.  The group is free on t1, t2, t3 where t_i is the

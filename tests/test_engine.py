@@ -89,25 +89,32 @@ def test_build_output_is_unchanged():
 
 
 def test_order_battery_compares_every_pair_under_every_action(monkeypatch):
-    # 3 start ports x 36 arcs, 6 words: each image is computed once, and
-    # each of the 3 x C(36, 2) = 1,890 pairs is compared before and after
-    # each word
+    # 3 start ports x 36 arcs, 6 words: each image is computed once, each
+    # arc and image is checked once, and each of the 3 x C(36, 2) = 1,890
+    # pairs is compared before and after each word
     model = get_model()
-    calls = {"apply": 0, "side": 0}
-    true_apply, true_side = Model.apply_action, engine.side_at_start
+    calls = {"apply": 0, "check": 0, "side": 0}
+    true_apply = Model.apply_action
+    true_check, true_side = engine._require_canonical, engine._side
 
     def counting_apply(self, action, arc):
         calls["apply"] += 1
         return true_apply(self, action, arc)
+
+    def counting_check(arc, *fault):
+        calls["check"] += 1
+        return true_check(arc, *fault)
 
     def counting_side(alpha, beta):
         calls["side"] += 1
         return true_side(alpha, beta)
 
     monkeypatch.setattr(Model, "apply_action", counting_apply)
-    monkeypatch.setattr(engine, "side_at_start", counting_side)
+    monkeypatch.setattr(engine, "_require_canonical", counting_check)
+    monkeypatch.setattr(engine, "_side", counting_side)
     model._certify_order_preservation()
-    assert calls == {"apply": 3 * 36 * 6, "side": 1890 * 7}
+    assert calls == {"apply": 3 * 36 * 6, "check": 3 * 36 * 7,
+                     "side": 1890 * 7}
 
 
 def test_order_battery_catches_a_wrong_image(monkeypatch):
@@ -209,6 +216,33 @@ def _fault_anchors(monkeypatch):
     model.ensure_library()
 
 
+def _backtracked(arc):
+    return Arc(arc.start, arc.crossings + (1, -1), arc.end)
+
+
+def _fault_order_image_backtrack(monkeypatch):
+    # an image with a backtrack is the engine's own fault, not a user error
+    true_apply = Model.apply_action
+    monkeypatch.setattr(Model, "apply_action", lambda self, action, arc:
+                        _backtracked(true_apply(self, action, arc)))
+    try:
+        Model()._certify_order_preservation()
+    except InvariantViolation as exc:
+        assert "arc is not canonical: Arc(" in str(exc)
+        raise
+
+
+def _fault_library_image_backtrack(monkeypatch):
+    true_fold = Model._fold
+    monkeypatch.setattr(Model, "_fold", lambda self, arc, terms:
+                        _backtracked(true_fold(self, arc, terms)))
+    try:
+        engine._certify_library(Model())
+    except InvariantViolation as exc:
+        assert "arc is not canonical: Arc(" in str(exc)
+        raise
+
+
 def _fault_library_validation(monkeypatch):
     # a b c d e^-2 f^-1 moves this arc left but a b c d e^-1 f^-2 moves it
     # right, so the build must check every pattern of the crossing entry
@@ -220,7 +254,8 @@ def _fault_library_validation(monkeypatch):
 @pytest.mark.parametrize("fault", [
     _fault_inverse_pair, _fault_naming, _fault_centrality,
     _fault_distinctness, _fault_port_words, _fault_pinned_relation,
-    _fault_anchors, _fault_library_validation])
+    _fault_anchors, _fault_library_validation, _fault_order_image_backtrack,
+    _fault_library_image_backtrack])
 def test_a_corrupted_table_fails_the_build(monkeypatch, fault):
     with pytest.raises(InvariantViolation):
         fault(monkeypatch)

@@ -1,12 +1,13 @@
 """The exact planar predicates: segment crossing with its bounding-box
-pre-reject and its loud failure on borderline configurations, and the
-two-sided splice."""
+pre-reject and its loud failure on borderline configurations, the
+two-sided splice, and the integer model data that keep all of it exact."""
 
 from fractions import Fraction as Fr
 
 import pytest
 
 from lanternbook.errors import InvariantViolation
+from lanternbook import geometry
 from lanternbook.geometry import (BASIS_LOOPS, CURVE_POLYGONS, crossing_word,
                                   segment_cross, splice)
 
@@ -57,3 +58,24 @@ def test_splice_builds_both_signs_from_the_same_crossings():
     loop = BASIS_LOOPS[0]
     assert splice(loop, CURVE_POLYGONS["d"]) == (loop, loop)
     assert crossing_word(loop) == (1,)
+
+
+def test_the_geometry_stays_exact():
+    # the model data are ints on the 1/100 grid
+    spliced = (list(BASIS_LOOPS)
+               + [arc for arc, _ in geometry.REFERENCE_ARCS.values()])
+    points = [pt for line in spliced + list(CURVE_POLYGONS.values())
+              for pt in line]
+    points += [geometry.BASEPOINT, *geometry.HOLES.values(),
+               *geometry.CUTS.values(), (geometry.RADIUS, geometry.RADIUS2)]
+    assert all(type(x) is int for pt in points for x in pt)
+    with pytest.raises(InvariantViolation, match="grid"):
+        geometry._pts((1, "1/3"))
+    # a splice adds Fraction crossing points, never a float
+    for polygon in CURVE_POLYGONS.values():
+        for line in spliced:
+            for image in splice(line, polygon):
+                assert all(type(x) in (int, Fr) for pt in image for x in pt)
+    # "/" on two ints would give a float parameter
+    t, point = segment_cross((0, 0), (2, 2), (0, 3), (3, 0))
+    assert type(t) is Fr and t == Fr(3, 4) and point == (Fr(3, 2), Fr(3, 2))
