@@ -40,11 +40,10 @@ shape-free reading (labeled in the output).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import InvariantViolation
+from .errors import InvariantViolation, PreconditionError
 from .lantern import (ReducedForm, _h_rule, _mirrored, _require_form,
                       _rotation_classes)
+from .words import Value
 # re-exported: perfbench/tracing.py wraps it under this module's name
 from .lantern import cyclic_rotations  # noqa: F401
 
@@ -57,8 +56,7 @@ E_F_E = "E_F_E"
 F_E_F = "F_E_F"
 
 
-@dataclass(frozen=True)
-class OTShape:
+class OTShape(Value):
     """Exponent data of a monodromy in the special shape: boundary
     exponents r, merged outer exponent m (= m1 + m2), middle exponent n,
     and which letter sits outside (pattern E_F_E: e^{m1} f^n e^{m2};
@@ -97,16 +95,23 @@ def match_ot_shape(rf: ReducedForm):
     return None if shape is None else OTShape(rf.r, *shape)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Value):
     """Verdict with the rule tags that produced it, plus which rotation
     and mirror yielded the decisive tag (for re-checking by hand)."""
 
     verdict: str
     rules: tuple
-    rotation: int = 0
-    mirror: bool = False
-    ot1_broad: bool = False
+    rotation: int
+    mirror: bool
+    ot1_broad: bool
+
+    def __init__(self, verdict, rules, rotation=0, mirror=False,
+                 ot1_broad=False):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "rotation", rotation)
+        object.__setattr__(self, "mirror", mirror)
+        object.__setattr__(self, "ot1_broad", ot1_broad)
 
     def to_json(self):
         doc = {"verdict": self.verdict, "rules": list(self.rules),
@@ -156,6 +161,8 @@ def classify_rules(rf: ReducedForm, ot1_broad: bool = False) -> Classification:
     no mirror) and return all matching tags with the precedence verdict
     Overtwisted > Fillable > RightVeering > Unknown."""
     _require_form(rf)
+    if type(ot1_broad) is not bool:
+        raise PreconditionError("ot1_broad is not a bool: %r" % (ot1_broad,))
     tags = _tags(rf.r, rf.blocks, ot1_broad)
     tags = tuple(t for t in _RULE_ORDER if t in tags)
     return Classification(_verdict(tags), tags, 0, False, ot1_broad)
@@ -186,6 +193,8 @@ def classify(rf: ReducedForm, ot1_broad: bool = False) -> Classification:
     every candidate.  A form with no special shape has the tags of its
     mirror, which read only min r and the H4 cost (the argument is the
     one for long cores), so that mirror is skipped."""
+    if type(ot1_broad) is not bool:
+        raise PreconditionError("ot1_broad is not a bool: %r" % (ot1_broad,))
     decisive = {}
     for k, r, blocks in _rotation_classes(rf):
         for t in _tags(r, blocks, ot1_broad):

@@ -117,15 +117,14 @@ seconds of the two builds are ``Model.build_s`` and ``library_build_s``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 from . import geometry
 from .errors import InvariantViolation, MalformedArcError, PreconditionError
 from .invariant import SLOPES, _invariant, _terms, right_veering
 from .invariant import equal_in_mcg  # noqa: F401  (re-exported)
-from .words import (BOUNDARY, GENERATORS, format_word,
+from .words import (BOUNDARY, GENERATORS, Value, format_word,
                     free_reduce, parse)
 
 LEFT = "Left"
@@ -247,13 +246,16 @@ def _image(s, table):
     return _reduce_str(s)
 
 
-@dataclass(frozen=True)
-class ArcAction:
+class ArcAction(Value):
     """Action of a mapping class on the arc system: images of the loop
     basis t1..t3 and the six port correction words, all as free-group
     strings."""
     phi: tuple
     w: tuple
+
+    def __init__(self, phi, w):
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "w", w)
 
     @cached_property
     def table(self):
@@ -326,13 +328,17 @@ _PIN_CHECKS = (("gef", "abcd"), ("hfe", "abcd"), ("gfe", "abcd"),
 # arcs
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(Value):
     """Properly embedded arc: start port, freely reduced crossing word,
     end port.  Use :func:`make_arc` to construct with validation."""
     start: str
     crossings: tuple
     end: str
+
+    def __init__(self, start, crossings, end):
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "crossings", crossings)
+        object.__setattr__(self, "end", end)
 
     def start_boundary(self):
         return geometry.PORT_TO_BOUNDARY[self.start]
@@ -508,20 +514,20 @@ def _turns_left(s_idx, prefix, k, exit_a, exit_b):
 # witness library plumbing
 # ----------------------------------------------------------------------
 
-class LibraryEntry(NamedTuple):
-    name: str
-    patterns: tuple          # defining monodromy word(s), certified Left
-    arc: Arc
-    kind: tuple              # ("neg", k) | ("zero", k) | ("cross",)
+LibraryEntry = namedtuple("LibraryEntry", "name patterns arc kind")
 
 
-@dataclass(frozen=True)
-class RVReport:
+class RVReport(Value):
     """Outcome of a bounded left-witness search: the witness arc, or None
     when no arc of at most ``bound`` crossings is one."""
     bound: int
     word: tuple
-    witness: Arc | None = None
+    witness: Arc | None
+
+    def __init__(self, bound, word, witness=None):
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "witness", witness)
 
     @property
     def outcome(self):

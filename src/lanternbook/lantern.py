@@ -45,14 +45,12 @@ matrices plus exponent class) before being returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import json
 
 from .errors import InvariantViolation, PreconditionError
 from .invariant import equal_in_mcg
-from .words import (
-    BOUNDARY, Word, _merge, concat, format_word, free_reduce, invert, parse,
-)
+from .words import (BOUNDARY, Value, Word, _merge, concat, format_word,
+                    free_reduce, invert, parse)
 
 _G_POS = parse("a b c d f^-1 e^-1")
 _H_POS = parse("a b c d e^-1 f^-1")
@@ -61,8 +59,7 @@ _LANTERN = {("g", True): _G_POS, ("g", False): invert(_G_POS),
             ("h", True): _H_POS, ("h", False): invert(_H_POS)}
 
 
-@dataclass(frozen=True)
-class ReducedForm:
+class ReducedForm(Value):
     """Exponent data of a word in reduced form: ``r`` holds the four
     boundary-twist exponents (of a, b, c, d), ``blocks`` the alternating
     interior part as pairs (m_i, n_i) meaning e^{m_i} f^{n_i}.  Interior
@@ -74,17 +71,17 @@ class ReducedForm:
     r: tuple
     blocks: tuple
 
-    def __post_init__(self):
+    def __init__(self, r, blocks):
         try:
-            r = tuple(self.r)
-            blocks = tuple((m, n) for m, n in self.blocks)
+            exps = tuple(r)
+            blocks = tuple((m, n) for m, n in blocks)
         except (TypeError, ValueError) as exc:
             raise PreconditionError("malformed r or blocks: %s" % exc) \
                 from None
-        if len(r) != 4:
+        if len(exps) != 4:
             raise PreconditionError(
-                "r must have four components, got %r" % (self.r,))
-        for x in r:
+                "r must have four components, got %r" % (r,))
+        for x in exps:
             if type(x) is not int:
                 raise PreconditionError("exponent is not an int: %r" % (x,))
         for i, (m, n) in enumerate(blocks):
@@ -101,7 +98,7 @@ class ReducedForm:
                     % (blocks, i))
         if blocks == ((0, 0),):
             blocks = ()
-        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "r", exps)
         object.__setattr__(self, "blocks", blocks)
 
     @property
@@ -354,8 +351,7 @@ def mirror_ef(rf: ReducedForm) -> ReducedForm:
 # positive factorizations
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PositiveFactorization:
+class PositiveFactorization(Value):
     """A positive word equal in the mapping class group to
     conjugator^-1 · expand(rotation of the input) · conjugator, together
     with the rule and rotation that produced it.  Construction certifies
@@ -366,6 +362,12 @@ class PositiveFactorization:
     rule: str
     rotation: int
     conjugator: Word
+
+    def __init__(self, word, rule, rotation, conjugator):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "rotation", rotation)
+        object.__setattr__(self, "conjugator", conjugator)
 
     def __str__(self):
         return format_word(self.word) if self.word else "(empty product)"

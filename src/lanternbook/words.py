@@ -33,8 +33,8 @@ Printing uses single spaces between terms and omits ``^1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, repeat
+from operator import attrgetter
 
 from .errors import PreconditionError, WordSyntaxError
 
@@ -210,11 +210,39 @@ def mirror_word(word) -> Word:
 
 
 # ----------------------------------------------------------------------
-# abelianized invariant
+# value types, and the abelianized invariant
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExponentVector:
+class Value:
+    """Base of the immutable value types; a subclass's annotations are its
+    fields, which compare, hash and print as in a frozen dataclass.  Hot
+    types set fields by object.__setattr__ (writing __dict__ slows reads)."""
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("%r is a read-only field" % (name,))
+    __delattr__ = __setattr__
+
+
+class ExponentVector(Value):
     """Exponent sums of a word, reduced modulo the rank-2 lattice generated
     by the abelianizations of the two lantern relations,
 

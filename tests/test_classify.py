@@ -16,7 +16,8 @@ from lanternbook.engine import is_right_veering_upto
 from lanternbook.errors import InvariantViolation, PreconditionError
 from lanternbook.lantern import (ReducedForm, _joined, _pack, _peel,
                                  cyclic_rotations, expand, mirror_ef,
-                                 positive_factorization)
+                                 positive_factorization, reduce)
+from lanternbook.words import parse
 from tests.test_lantern import (_conjugated, _reference_factorization,
                                 _short_cores, form_strategy)
 
@@ -123,6 +124,18 @@ def test_ot1_broad_is_opt_in():
     assert classify(rf).verdict == UNKNOWN
     broad = classify(rf, ot1_broad=True)
     assert broad.verdict == OVERTWISTED and broad.rules == ("OT1",)
+
+
+def test_ot1_broad_must_be_a_bool():
+    # a truthy string used to switch the broad reading on
+    rf = reduce(parse("a^-1 e f^-1 e^2 f e^-1 f^2"))
+    for call in (classify, classify_rules):
+        for bad in ("no", "False", None, 0, 1):
+            with pytest.raises(PreconditionError, match="ot1_broad"):
+                call(rf, bad)
+        assert call(rf, False) == Classification(UNKNOWN, ())
+        assert call(rf, True) == Classification(OVERTWISTED, ("OT1",),
+                                                ot1_broad=True)
 
 
 def test_rotation_provenance_points_at_a_decisive_conjugate():

@@ -4,16 +4,19 @@ reference), the witness library, and the bounded left-witness search
 (including cross-validation of the pruned search against the unpruned
 reference sweep)."""
 
-import dataclasses
+from copy import deepcopy
 import hashlib
 import itertools
+import pickle
 import random
 
 import pytest
 
 from lanternbook import engine, geometry
+from lanternbook.classify import Classification, classify, match_ot_shape
 from lanternbook.engine import (IDENTITY_ACTION, LEFT, RIGHT, Arc, ArcAction,
-                                Model, _canonical_sweep, _equal_by_action,
+                                Model, RVReport, _canonical_sweep,
+                                _equal_by_action,
                                 apply_twist, apply_word, arc_from_json,
                                 arc_to_json, canonical, certify_model,
                                 equal_in_mcg, get_model,
@@ -23,7 +26,8 @@ from lanternbook.errors import (InvariantViolation, MalformedArcError,
                                 PreconditionError, WordSyntaxError)
 from lanternbook.geometry import CURVE_POLYGONS, PORTS
 from lanternbook.invariant import SLOPES
-from lanternbook.lantern import ReducedForm, expand, reduce
+from lanternbook.lantern import (ReducedForm, expand, positive_factorization,
+                                 reduce)
 from lanternbook.words import (INTERIOR, concat, exponent_class, free_reduce,
                                invert, merge_terms, parse)
 from witness_reference import naive_first_witness
@@ -995,8 +999,52 @@ def test_arc_actions_are_values():
     copy = ArcAction(action.phi, action.w)
     assert copy == action and hash(copy) == hash(action)
     assert len({action, copy}) == 1
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         action.phi = IDENTITY_ACTION.phi
+    # every value type of the package keeps the repr it had as a frozen
+    # dataclass, refuses writes, and survives pickle and deepcopy
+    reprs = {
+        exponent_class(parse("g e f")):
+            "ExponentVector(canonical=(1, 1, 1, 1, 0, 0))",
+        ReducedForm([1, 2, 3, 4], [(1, -1)]):
+            "ReducedForm(r=(1, 2, 3, 4), blocks=((1, -1),))",
+        positive_factorization(reduce(parse("a b c d e^-1 f"))):
+            "PositiveFactorization(word=(('h', 1), ('f', 2)), rule='H1', "
+            "rotation=0, conjugator=())",
+        match_ot_shape(ReducedForm((0, 1, 1, 1), ((-1, 2),))):
+            "OTShape(r=(0, 1, 1, 1), m=-1, n=2, pattern='E_F_E')",
+        Classification("Unknown", ()):
+            "Classification(verdict='Unknown', rules=(), rotation=0, "
+            "mirror=False, ot1_broad=False)",
+        classify(reduce(parse("a^-1 e f^-1 e^2 f e^-1 f^2")), True):
+            "Classification(verdict='Overtwisted', rules=('OT1',), "
+            "rotation=0, mirror=False, ot1_broad=True)",
+        IDENTITY_ACTION:
+            "ArcAction(phi=(b'a', b'b', b'c'), "
+            "w=(b'', b'', b'', b'', b'', b''))",
+        Arc("P1", (), "P2a"): "Arc(start='P1', crossings=(), end='P2a')",
+        RVReport(12, parse("e")):
+            "RVReport(bound=12, word=(('e', 1),), witness=None)",
+        is_right_veering_upto(parse("a b c d e^-2 f^-1"), 4):
+            "RVReport(bound=4, word=(('a', 1), ('b', 1), ('c', 1), "
+            "('d', 1), ('e', -2), ('f', -1)), "
+            "witness=Arc(start='P2b', crossings=(), end='P4'))",
+    }
+    assert len({type(value) for value in reprs}) == 8
+    for value, text in list(reprs.items()) + [(action, repr(action))]:
+        assert repr(value) == text
+        for name in list(vars(value)):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert repr(value) == text
+        for twin in (pickle.loads(pickle.dumps(value)), deepcopy(value)):
+            assert type(twin) is type(value)
+            assert twin == value and hash(twin) == hash(value)
+    # equal field values in two types are two unequal values
+    assert Arc(12, (), None) != RVReport(12, (), None)
+    assert RVReport(12, (), None) != Arc(12, (), None)
 
 
 def test_piece_action_of_a_zero_exponent_is_the_identity():
