@@ -40,7 +40,7 @@ shape-free reading (labeled in the output).
 
 from __future__ import annotations
 
-from .errors import InvariantViolation, PreconditionError
+from .errors import InvariantViolation, PreconditionError, shown
 from .lantern import (ReducedForm, _h_rule, _mirrored, _require_form,
                       _rotation_classes)
 from .words import Value
@@ -162,7 +162,8 @@ def classify_rules(rf: ReducedForm, ot1_broad: bool = False) -> Classification:
     Overtwisted > Fillable > RightVeering > Unknown."""
     _require_form(rf)
     if type(ot1_broad) is not bool:
-        raise PreconditionError("ot1_broad is not a bool: %r" % (ot1_broad,))
+        raise PreconditionError("ot1_broad is not a bool: %s"
+                                % shown(ot1_broad))
     tags = _tags(rf.r, rf.blocks, ot1_broad)
     tags = tuple(t for t in _RULE_ORDER if t in tags)
     return Classification(_verdict(tags), tags, 0, False, ot1_broad)
@@ -194,7 +195,8 @@ def classify(rf: ReducedForm, ot1_broad: bool = False) -> Classification:
     mirror, which read only min r and the H4 cost (the argument is the
     one for long cores), so that mirror is skipped."""
     if type(ot1_broad) is not bool:
-        raise PreconditionError("ot1_broad is not a bool: %r" % (ot1_broad,))
+        raise PreconditionError("ot1_broad is not a bool: %s"
+                                % shown(ot1_broad))
     decisive = {}
     for k, r, blocks in _rotation_classes(rf):
         for t in _tags(r, blocks, ot1_broad):

@@ -21,11 +21,11 @@ stderr; such a failure is a bug, not a property of the input), and 1
 when standard output closes early (``| head -1``), without a traceback.
 
 Census ranges are written ``--range "r1=-2..2,m1=-3..3,n1=0..3"`` with
-keys r1..r4 for the boundary exponents and m1,n1,m2,n2,... for the
-interior exponents; omitted keys are pinned to 0.  Tuples are swept in
-lexicographic order (every coordinate ascending), each one classified
-as the word a^{r1}b^{r2}c^{r3}d^{r4}e^{m1}f^{n1}..., so the stream is
-byte-identical across runs.
+keys r1..r4 for the boundary exponents and m1,n1,m2,n2,... (at most
+m999, n999) for the interior exponents; omitted keys are pinned to 0.
+Tuples are swept in lexicographic order (every coordinate ascending),
+each one classified as the word a^{r1}b^{r2}c^{r3}d^{r4}e^{m1}f^{n1}...,
+so the stream is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -110,8 +110,9 @@ def _fmt_classification(c):
     return (out + "  [ot1-broad]") if c.ot1_broad else out
 
 
+# at most 999 blocks, so that no index allocates before it is checked
 _RANGE_ITEM = re.compile(
-    r"^(r[1-4]|[mn][1-9][0-9]*)=(-?[0-9]+)(?:\.\.(-?[0-9]+))?$")
+    r"^(r[1-4]|[mn][1-9][0-9]{0,2})=(-?[0-9]+)(?:\.\.(-?[0-9]+))?$")
 
 
 def _parse_ranges(spec):
@@ -125,8 +126,12 @@ def _parse_ranges(spec):
         if not m:
             raise PreconditionError(
                 "bad range item %r (expected name=lo..hi)" % item)
-        name, lo, hi = m.group(1), int(m.group(2)), m.group(3)
-        hi = lo if hi is None else int(hi)
+        try:
+            name, lo, hi = m.group(1), int(m.group(2)), m.group(3)
+            hi = lo if hi is None else int(hi)
+        except ValueError:      # past the int-to-string digit limit
+            raise PreconditionError("range bound of %s has too many digits"
+                                    % m.group(1)) from None
         if hi < lo:
             raise PreconditionError("empty range %r" % item)
         if name in given:

@@ -70,12 +70,12 @@ fully deterministic for a fixed input:
    family of the paper, each certified against its defining words when
    the library is built.  Each entry is scored once on the word's
    exponent sums (``_rank_library``): those scoring below 2 are probed
-   before the rule, cheapest first with ties in library order, and the
-   rest after it in library order.  Every probe is verified by an exact
-   side computation before being reported.  The library is built only
-   when a probe pass has a candidate, and the model only then or when
-   the class is not right-veering, so a word that the rule of step 1
-   alone settles builds neither;
+   before the rule, the rest after it, each pass in library order.
+   Every probe is verified by an exact side computation before being
+   reported.  The library is built only when a probe pass has a
+   candidate, and the model only then or when the class is not
+   right-veering, so a word that the rule of step 1 alone settles
+   builds neither;
 3. sweep every arc with at most one crossing (the reference enumeration
    order), applying the composite action directly; this settles almost
    every non-right-veering word cheaply because short witnesses are
@@ -121,7 +121,8 @@ from collections import namedtuple
 from functools import cached_property
 
 from . import geometry
-from .errors import InvariantViolation, MalformedArcError, PreconditionError
+from .errors import (InvariantViolation, MalformedArcError,
+                     PreconditionError, shown)
 from .invariant import SLOPES, _invariant, _terms, right_veering
 from .invariant import equal_in_mcg  # noqa: F401  (re-exported)
 from .words import (BOUNDARY, GENERATORS, Value, format_word,
@@ -356,11 +357,11 @@ def _checked_word(crossings):
         word = tuple(crossings)
     except TypeError:
         raise MalformedArcError("crossings are not a sequence of letters: "
-                                "%r" % (crossings,)) from None
+                                "%s" % shown(crossings)) from None
     reduced, prev = True, 0
     for x in word:
         if type(x) is not int or x not in _EXIT:
-            raise MalformedArcError("bad crossing letter %r" % (x,))
+            raise MalformedArcError("bad crossing letter %s" % shown(x))
         if x == -prev:
             reduced = False
         prev = x
@@ -369,7 +370,7 @@ def _checked_word(crossings):
 
 def make_arc(start, crossings, end):
     if start not in PORTS or end not in PORTS:
-        raise MalformedArcError("unknown port %r" % ((start, end),))
+        raise MalformedArcError("unknown port %s" % shown((start, end)))
     word, reduced = _checked_word(crossings)
     if not reduced:
         word = _decode(_reduce_str(_encode(word)))
@@ -381,7 +382,7 @@ def canonical(arc):
     try:
         start, crossings, end = arc.start, arc.crossings, arc.end
     except AttributeError:
-        raise MalformedArcError("not an arc: %r" % (arc,)) from None
+        raise MalformedArcError("not an arc: %s" % shown(arc)) from None
     return make_arc(start, crossings, end)
 
 
@@ -410,15 +411,16 @@ def arc_from_json(obj):
         start, end = (geometry.BOUNDARY_TO_PORT[tuple(e)] for e in ends)
         raw = list(obj["crossings"])
     except (KeyError, TypeError, IndexError) as exc:
-        raise MalformedArcError("bad arc serialization: %s" % (exc,))
+        raise MalformedArcError("bad arc serialization: %s"
+                                % shown(exc, str))
     word = []
     for item in raw:
         try:
             label, s = item
         except (TypeError, ValueError):
-            raise MalformedArcError("bad crossing entry %r" % (item,))
+            raise MalformedArcError("bad crossing entry %s" % shown(item))
         if label not in ("d1", "d2", "d3") or s not in ("+", "-"):
-            raise MalformedArcError("bad crossing entry %r" % (item,))
+            raise MalformedArcError("bad crossing entry %s" % shown(item))
         word.append(int(label[1]) * (1 if s == "+" else -1))
     return make_arc(start, word, end)
 
@@ -431,13 +433,14 @@ def _require_canonical(arc, fault=PreconditionError):
         known = arc.start in PORT_IDX and arc.end in PORT_IDX
         crossings = arc.crossings
     except AttributeError:
-        raise MalformedArcError("not an arc: %r" % (arc,)) from None
+        raise MalformedArcError("not an arc: %s" % shown(arc)) from None
     except TypeError:                   # an unhashable port
         known = False
     if not known:
-        raise MalformedArcError("unknown port %r" % ((arc.start, arc.end),))
+        raise MalformedArcError("unknown port %s"
+                                % shown((arc.start, arc.end)))
     if not _checked_word(crossings)[1]:
-        raise fault("arc is not canonical: %r" % (arc,))
+        raise fault("arc is not canonical: %s" % shown(arc))
 
 
 def _crossing_image(action, crossings):
@@ -740,10 +743,10 @@ def apply_twist(arc, curve, sign=1):
     for sign +1, left for -1); the result is canonical."""
     # GENERATORS is a str, in which "" and "ab" are substrings
     if curve not in tuple(GENERATORS):
-        raise PreconditionError("unknown curve %r" % (curve,))
+        raise PreconditionError("unknown curve %s" % shown(curve))
     if type(sign) is not int or sign not in (1, -1):
-        raise PreconditionError("sign must be the int +1 or -1, got %r"
-                                % (sign,))
+        raise PreconditionError("sign must be the int +1 or -1, got %s"
+                                % shown(sign))
     model = get_model()
     _require_canonical(arc)
     return model.apply_action(model.tables[curve][0 if sign > 0 else 1], arc)
@@ -865,21 +868,16 @@ def _probe_score(entry, sums):
 
 
 def _rank_library(terms):
-    """The library indices of the two probe passes, each entry scored once
-    on the exponent sums of ``terms``: the entries scoring < 2, cheapest
-    first and ties in library order, then the rest in library order."""
+    """The library indices of the two probe passes, in library order: the
+    entries scoring < 2 on the exponent sums of ``terms`` (``cross``, the
+    only one that can score 1, is last), then the rest."""
     sums = {}
     for letter, exp in terms:
         sums[letter] = sums.get(letter, 0) + exp
     cheap, rest = [], []
     for i, entry in enumerate(_LIBRARY):
-        score = _probe_score(entry, sums)
-        if score < 2:
-            cheap.append((score, i))
-        else:
-            rest.append(i)
-    cheap.sort()
-    return [i for _, i in cheap], rest
+        (cheap if _probe_score(entry, sums) < 2 else rest).append(i)
+    return cheap, rest
 
 
 def _probe(indices, terms):
@@ -997,8 +995,6 @@ def _rv_search(terms, bound):
     freely reduced ``terms`` within ``bound`` crossings, or None.  The
     model is built only when a probe pass has a candidate or the class is
     not right-veering; only the sweep and depth-first answers are memoized."""
-    if not terms:           # the identity: no witness, and no prune cuts
-        return None         # its depth-first tree
     cheap, rest = _rank_library(terms)
     arc = _probe(cheap, terms)
     if arc is not None or right_veering(terms)[0]:
@@ -1031,12 +1027,12 @@ def validate_bound(bound):
     """Reject a witness-search bound that is not an ``int`` or lies
     outside 1..MAX_BOUND crossings."""
     if type(bound) is not int:
-        raise PreconditionError("bound must be an int, got %r" % (bound,))
+        raise PreconditionError("bound must be an int, got %s" % shown(bound))
     if bound < 1:
-        raise PreconditionError("bound must be >= 1, got %d" % bound)
+        raise PreconditionError("bound must be >= 1, got %s" % shown(bound))
     if bound > MAX_BOUND:
-        raise PreconditionError("bound must be <= %d, got %d"
-                                % (MAX_BOUND, bound))
+        raise PreconditionError("bound must be <= %d, got %s"
+                                % (MAX_BOUND, shown(bound)))
 
 
 def is_right_veering_upto(w, bound=12):

@@ -13,14 +13,26 @@ Only four kinds of failure are ever raised deliberately:
   something mathematically impossible (a failed certification, conflicting
   verdicts).  This is never a user error; it signals a bug and maps to
   exit status 2 in the command line driver.
+
+A refusal echoes the value it refuses through ``shown``.
 """
+
+
+def shown(value, text=repr):
+    """``text(value)`` for a refusal message, or ``<type name>`` when that
+    fails, as it does on an int longer than the interpreter's limit for
+    converting an int to a string (4,300 digits by default)."""
+    try:
+        return text(value)
+    except Exception:
+        return "<%s>" % type(value).__name__
 
 
 class WordSyntaxError(ValueError):
     """Raised by the word parser; ``position`` is the 0-based text offset."""
 
     def __init__(self, message, position):
-        super().__init__("%s (at position %d)" % (message, position))
+        super().__init__("%s (at position %s)" % (message, shown(position)))
         self.position = position
 
 

@@ -100,8 +100,10 @@ Honda-Kazez-Matic (op. cit.) prove that a pseudo-Anosov phi is
 right-veering iff its fractional Dehn twist coefficient is positive at
 every boundary component; here that is min r + tau(P) >= 1.
 
-:func:`right_veering` decides every class: by trace when |tr M| <= 2,
-by the FDTC otherwise.
+:func:`coefficients` states the c_k of every class, with gamma's power
+m (0 for a product of boundary twists, ``None`` for a pseudo-Anosov
+class), and :func:`right_veering` reads its verdict off them: by trace
+when |tr M| <= 2, by the FDTC otherwise.
 """
 
 from __future__ import annotations
@@ -109,8 +111,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import InvariantViolation
-from .words import (_canonical_class, _exponent_sums, merge_terms,
-                    parse)
+from .words import _canonical_class, merge_terms, parse
 
 SLOPES = {"e": (1, 0), "f": (0, 1), "g": (1, 1), "h": (-1, 1)}
 _IDENTITY_MATRIX = (1, 0, 0, 1)
@@ -172,16 +173,8 @@ def twist_number(terms):
     """The translation number tau(P), in clockwise half-turns, of the
     e/f part P of the checked terms ``terms``: the lift of P's slope
     matrix to the universal cover of RP^1 that composes the lifts of its
-    twists (module docstring).  Exact when P's matrix is hyperbolic,
-    that is, when the class is pseudo-Anosov."""
-    sums = _exponent_sums(terms)
-    return _half_turns(terms) - sums[6] - sums[7]
-
-
-def _half_turns(terms):
-    """The clockwise half-turns of the lift that composes the twists of
-    ``terms`` themselves, g and h included: tau(P) plus the total g and h
-    exponent (module docstring)."""
+    twists (module docstring), g and h counted by their own twists less
+    their total exponent.  Exact when P's matrix is hyperbolic."""
     steps = [(SLOPES[letter], k) for letter, k in reversed(terms)
              if letter in SLOPES]
     x, y, wraps = 1, 0, 0           # the horizontal line, normalized
@@ -196,29 +189,38 @@ def _half_turns(terms):
             if y < 0 or (y == 0 and x < 0):
                 x, y = -x, -y
                 wraps += 1 if k > 0 else -1
-    return round(wraps / _PASSES)
+    gh = sum(k for letter, k in terms if letter in "gh")
+    return round(wraps / _PASSES) - gh
 
 
-def right_veering(terms):
-    """Whether the mapping class of the checked terms ``terms`` is
-    right-veering, with the rule that decided it: ``(verdict, "trace")``
-    for a trivial or reducible class (trace +-2), ``(verdict, "FDTC")``
-    for a pseudo-Anosov one.  The rules and their proof sketches are in
-    the module docstring."""
+def coefficients(terms):
+    """The fractional Dehn twist coefficients of the mapping class of the
+    checked terms ``terms``, as ``(c, m)``: ``c`` the 4-tuple of c_k, and
+    ``m`` the power of gamma's twist for a reducible class, 0 for a
+    product of boundary twists, ``None`` for a pseudo-Anosov class.  The
+    formulas and their proof sketches are in the module docstring."""
     a, b, c, d = _slope_product(SLOPES, terms)
-    if abs(a + d) > 2:
-        # c_k = r_k + tau(P): the g and h exponent that r_k holds is the
-        # one tau(P) subtracts from the half-turns, so c_k is the k-th
-        # boundary exponent sum plus the half-turns
-        return min(_exponent_sums(terms)[:4]) + _half_turns(terms) >= 1, \
-            "FDTC"
     r = _canonical_class(terms)[:4]
+    if abs(a + d) > 2:
+        tau = twist_number(terms)
+        return tuple(x + tau for x in r), None
     if b == c == 0:
-        return min(r) >= 0, "trace"
+        return r, 0
     if a + d < 0:
         b, c = -b, -c
     B, C = b // 2, -c // 2
     m = gcd(B, C) if (B or C) > 0 else -gcd(B, C)
     if (B // m) % 2 and (C // m) % 2:       # the orbit of g and h
         r = tuple(x - m for x in r)
-    return min(r) >= 0 and (m > 0 or min(r) > 0), "trace"
+    return r, m
+
+
+def right_veering(terms):
+    """Whether the mapping class of the checked terms ``terms`` is
+    right-veering, with the rule that decided it: ``(verdict, "trace")``
+    for a trivial or reducible class (trace +-2), ``(verdict, "FDTC")``
+    for a pseudo-Anosov one, both read off :func:`coefficients`."""
+    c, m = coefficients(terms)
+    if m is None:
+        return min(c) >= 1, "FDTC"
+    return min(c) >= 0 and (m >= 0 or min(c) > 0), "trace"

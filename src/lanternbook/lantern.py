@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import InvariantViolation, PreconditionError
+from .errors import InvariantViolation, PreconditionError, shown
 from .invariant import equal_in_mcg
 from .words import (BOUNDARY, Value, Word, _merge, concat, format_word,
                     free_reduce, invert, parse)
@@ -80,22 +80,23 @@ class ReducedForm(Value):
                 from None
         if len(exps) != 4:
             raise PreconditionError(
-                "r must have four components, got %r" % (r,))
+                "r must have four components, got %s" % shown(r))
         for x in exps:
             if type(x) is not int:
-                raise PreconditionError("exponent is not an int: %r" % (x,))
+                raise PreconditionError("exponent is not an int: %s"
+                                        % shown(x))
         for i, (m, n) in enumerate(blocks):
             if type(m) is not int or type(n) is not int:
-                raise PreconditionError("exponent is not an int: %r"
-                                        % ((m, n),))
+                raise PreconditionError("exponent is not an int: %s"
+                                        % shown((m, n)))
             if m == 0 and i > 0:
                 raise PreconditionError(
-                    "zero e-exponent inside blocks %r (index %d)"
-                    % (blocks, i))
+                    "zero e-exponent inside blocks %s (index %d)"
+                    % (shown(blocks), i))
             if n == 0 and i < len(blocks) - 1:
                 raise PreconditionError(
-                    "zero f-exponent inside blocks %r (index %d)"
-                    % (blocks, i))
+                    "zero f-exponent inside blocks %s (index %d)"
+                    % (shown(blocks), i))
         if blocks == ((0, 0),):
             blocks = ()
         object.__setattr__(self, "r", exps)
@@ -113,7 +114,7 @@ class ReducedForm(Value):
 
 def _require_form(rf) -> None:
     if not isinstance(rf, ReducedForm):
-        raise PreconditionError("not a ReducedForm: %r" % (rf,))
+        raise PreconditionError("not a ReducedForm: %s" % shown(rf))
 
 
 def rf_to_json(rf: ReducedForm) -> str:
@@ -311,7 +312,7 @@ def rotation_conjugator(rf: ReducedForm, k: int) -> Word:
     prefix followed by the first k core letters."""
     prefix, core = _peel(rf)
     if type(k) is not int:
-        raise PreconditionError("k must be an int, got %r" % (k,))
+        raise PreconditionError("k must be an int, got %s" % shown(k))
     k %= sum(abs(exp) for _, exp in core) or 1
     head = []
     for letter, exp in core:    # the zero tails are dropped by concat

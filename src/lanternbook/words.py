@@ -36,7 +36,7 @@ from __future__ import annotations
 from itertools import chain, repeat
 from operator import attrgetter
 
-from .errors import PreconditionError, WordSyntaxError
+from .errors import PreconditionError, WordSyntaxError, shown
 
 GENERATORS = "abcdefgh"
 _GENERATOR_SET = frozenset(GENERATORS)
@@ -71,10 +71,10 @@ def _merge(terms, central) -> Word:
     try:
         for letter, exp in terms:
             if letter not in _GENERATOR_SET:
-                raise PreconditionError("unknown generator %r" % (letter,))
+                raise PreconditionError("unknown generator %s" % shown(letter))
             if type(exp) is not int:
-                raise PreconditionError("exponent of %r is not an int: %r"
-                                        % (letter, exp))
+                raise PreconditionError("exponent of %r is not an int: %s"
+                                        % (letter, shown(exp)))
             if letter in central:
                 central[letter] += exp
             elif out and out[-1][0] == letter:
@@ -111,12 +111,14 @@ def parse(text: str) -> Word:
     """Parse ``text`` into a freely reduced word.
 
     Raises :class:`WordSyntaxError` (carrying the 0-based offset) on any
-    character outside the grammar, on a caret with no digits after it, and
-    on a dangling caret at end of input, and :class:`PreconditionError`
-    when ``text`` is not a ``str``.
+    character outside the grammar, on a caret with no digits after it, on
+    a dangling caret at end of input and on an exponent longer than the
+    interpreter converts to an int (4,300 digits by default), and
+    :class:`PreconditionError` when ``text`` is not a ``str``.
     """
     if not isinstance(text, str):
-        raise PreconditionError("word text must be a str, got %r" % (text,))
+        raise PreconditionError("word text must be a str, got %s"
+                                % shown(text))
     terms: list[Term] = []
     i, n = 0, len(text)
     while i < n:
@@ -140,7 +142,11 @@ def parse(text: str) -> Word:
                 i += 1
             if i == start:
                 raise WordSyntaxError("exponent digits expected after '^'", i)
-            exp = sign * int(text[start:i])
+            try:
+                exp = sign * int(text[start:i])
+            except ValueError:          # past the int-to-string digit limit
+                raise WordSyntaxError("exponent has too many digits",
+                                      start) from None
         terms.append((letter, exp))
     return merge_terms(terms)
 
@@ -183,7 +189,7 @@ def invert(word) -> Word:
 def power(word, k: int) -> Word:
     """k-fold concatenation (inverse word for negative k)."""
     if type(k) is not int:
-        raise PreconditionError("k must be an int, got %r" % (k,))
+        raise PreconditionError("k must be an int, got %s" % shown(k))
     if k == 0:
         _checked(word)
         return ()

@@ -1,0 +1,66 @@
+"""Adversarial command lines, each run in a child process under its own
+address-space and CPU limits: every one must be refused with exit 1 and
+a single ``error:`` line, with no traceback, before it allocates.
+
+The limits are set with ``resource.setrlimit`` in the child only
+(``preexec_fn``), so a regression ends in that child's ``MemoryError``
+or CPU signal and fails here instead of exhausting the machine.
+Runs without pytest too: ``PYTHONPATH=src python tests/test_corpus.py``.
+"""
+
+import os
+from pathlib import Path
+import resource
+import subprocess
+import sys
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+ADDRESS_SPACE = 512 * 2 ** 20
+CPU_SECONDS = 10
+
+_DIGITS = "9" * 5000                    # past the int-to-string limit
+REFUSED = (
+    # a census block index is bounded before any coordinate is named
+    ["census", "--range", "m100000000=0"],
+    ["census", "--range", "m20000000=0"],
+    ["census", "--range", "n1000=0"],
+    # an exponent or range bound too long to convert is refused
+    ["census", "--range", "m1=" + _DIGITS],
+    ["census", "--range", "r1=0..-" + _DIGITS],
+    ["reduce", "e^" + _DIGITS],
+    ["classify", "e^-" + _DIGITS],
+    ["check-rv", "a e^" + _DIGITS],
+    ["equal", "e^" + _DIGITS, "e"],
+    ["factorize", "--format", "json", "f^" + _DIGITS],
+)
+
+
+def _limit_child():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+    resource.setrlimit(resource.RLIMIT_CPU, (CPU_SECONDS, CPU_SECONDS))
+
+
+def run_limited(argv):
+    """Run the command line ``argv`` in a limited child interpreter on
+    this checkout's package: (exit code, stdout, stderr)."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + path if path else SRC)
+    proc = subprocess.run([sys.executable, "-m", "lanternbook.cli"] + argv,
+                          env=env, capture_output=True, text=True,
+                          preexec_fn=_limit_child, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_hostile_command_lines_are_refused_within_the_limits():
+    for argv in REFUSED:
+        code, out, err = run_limited(argv)
+        assert code == 1, (argv[:2], code, err[-300:])
+        assert out == "", argv[:2]
+        assert "Traceback" not in err, (argv[:2], err[-300:])
+        assert [line.startswith("error:") for line in err.splitlines()] \
+            == [True], (argv[:2], err[-300:])
+
+
+if __name__ == "__main__":
+    test_hostile_command_lines_are_refused_within_the_limits()
+    print("refused corpus ok")

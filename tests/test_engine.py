@@ -723,6 +723,22 @@ def test_probe_returns_the_ranking_loops_arc():
         assert 1000 <= found <= len(words) - 100, hits
 
 
+def test_the_cheap_probe_pass_is_already_in_score_order():
+    # a score reads only the signs of the a..f exponent sums, so the 3^6
+    # sign patterns are every case: the entries scoring < 2, in library
+    # order, are in (score, index) order too, and the rest follow
+    for signs in itertools.product((-1, 0, 1), repeat=6):
+        terms = tuple((x, k) for x, k in zip("abcdef", signs) if k)
+        sums = dict(terms)
+        scores = [engine._probe_score(entry, sums)
+                  for entry in engine._LIBRARY]
+        cheap, rest = engine._rank_library(terms)
+        assert cheap == sorted((i for i, score in enumerate(scores)
+                                if score < 2), key=lambda i: (scores[i], i))
+        assert rest == [i for i, score in enumerate(scores) if score == 2]
+    assert engine._rank_library(()) == ([], list(range(9)))
+
+
 def test_witness_library_entries_are_certified():
     entries = witness_library()
     assert len(entries) == 9

@@ -7,6 +7,7 @@ out of every command but check-rv."""
 import collections
 import itertools
 import json
+from math import gcd
 import os
 import random
 import subprocess
@@ -23,12 +24,12 @@ from lanternbook import classify, classify_rules
 from lanternbook.engine import Model, get_model
 from lanternbook.errors import InvariantViolation, PreconditionError
 from lanternbook.invariant import (SLOPES, _certify_relations,
-                                   _slope_product, right_veering,
-                                   twist_number)
+                                   _slope_product, coefficients,
+                                   right_veering, twist_number)
 from lanternbook.lantern import ReducedForm, expand, reduce
-from lanternbook.words import (GENERATORS, INTERIOR, concat,
-                               exponent_class, free_reduce, invert,
-                               merge_terms)
+from lanternbook.words import (GENERATORS, INTERIOR, _canonical_class,
+                               _exponent_sums, concat, exponent_class,
+                               free_reduce, invert, merge_terms, parse)
 from test_acceptance import _literal_h_tag, _random_form, _twist_shape_grid
 from witness_reference import naive_first_witness
 
@@ -121,8 +122,10 @@ def test_trace_rule_agrees_with_the_witness_search(monkeypatch):
         # HKM's reducible criterion on the data the word was built from
         assert verdict == (min(c) >= 0 and (m >= 0 or min(c) > 0)), w
         if verdict:
+            # an empty bare word is the identity, which moves no arc; the
+            # search without the rule would walk its whole unpruned tree
             bare = _without_right_twists(w)
-            assert engine._rv_search(bare, 10) is None or \
+            assert not bare or engine._rv_search(bare, 10) is None or \
                 engine._rv_search(w, 10) is None, w
         else:
             assert naive_first_witness(w, 10) is not None, w
@@ -282,6 +285,93 @@ def test_fdtc_on_the_papers_rule_families():
         w = merge_terms([(rng.choice(GENERATORS), rng.randint(1, 3))
                          for _ in range(rng.randint(1, 8))])
         assert right_veering(w)[0], w
+
+
+# -- the coefficients ------------------------------------------------------
+
+def _reference_right_veering(terms):
+    """Reference for :func:`right_veering`, computed without
+    :func:`coefficients`: the FDTC as the boundary exponent sums plus the
+    half-turns of the lift of the word's own twists, or the trace rule."""
+    a, b, c, d = _slope_product(SLOPES, terms)
+    if abs(a + d) > 2:
+        steps = [(SLOPES[letter], k) for letter, k in reversed(terms)
+                 if letter in SLOPES]
+        x, y, wraps = 1, 0, 0
+        for _ in range(5):
+            for (p, q), k in steps:
+                t = 2 * k * (p * y - q * x)
+                x, y = x + t * p, y + t * q
+                if y < 0 or (y == 0 and x < 0):
+                    x, y = -x, -y
+                    wraps += 1 if k > 0 else -1
+        return min(_exponent_sums(terms)[:4]) + round(wraps / 5) >= 1, \
+            "FDTC"
+    r = _canonical_class(terms)[:4]
+    if b == c == 0:
+        return min(r) >= 0, "trace"
+    if a + d < 0:
+        b, c = -b, -c
+    B, C = b // 2, -c // 2
+    m = gcd(B, C) if (B or C) > 0 else -gcd(B, C)
+    if (B // m) % 2 and (C // m) % 2:
+        r = tuple(x - m for x in r)
+    return min(r) >= 0 and (m > 0 or min(r) > 0), "trace"
+
+
+def test_right_veering_reads_the_reference_verdict_off_the_coefficients():
+    """20,000 seeded words of 1-8 terms over all eight generators with
+    exponents +-1..+-3, and 4,000 reducible words (conjugates of a power
+    of e, f, g or h times boundary twists): verdict and rule unchanged."""
+    rng = random.Random(20261019)
+    words = [merge_terms([(rng.choice(GENERATORS), rng.choice(_EXPONENTS))
+                          for _ in range(rng.randint(1, 8))])
+             for _ in range(20000)]
+    words += [_reducible_word(rng)[0] for _ in range(4000)]
+    seen = collections.Counter()
+    for w in words:
+        verdict, rule = right_veering(w)
+        assert (verdict, rule) == _reference_right_veering(w), w
+        # the kind of class: a g/h-orbit twist is the one that shifts c
+        c, m = coefficients(w)
+        kind = ("pA" if m is None else "twists" if m == 0
+                else "gh" if c != _canonical_class(w)[:4] else "ef")
+        a, _, _, d = _slope_product(SLOPES, w)
+        seen[kind, a + d == -2, verdict] += 1
+    # every kind with both verdicts, reducible ones at trace -2 too
+    for kind in ("pA", "twists", "gh", "ef"):
+        for verdict in (True, False):
+            assert seen[kind, False, verdict] + seen[kind, True, verdict] \
+                > 0, (kind, verdict, seen)
+    for kind in ("gh", "ef"):
+        assert seen[kind, True, True] + seen[kind, True, False] > 0, seen
+
+
+def test_coefficients_agree_with_twist_number_and_the_trace_rule():
+    known = {"": ((0, 0, 0, 0), 0),
+             "g e f a^-1 b^-1 c^-1 d^-1": ((0, 0, 0, 0), 0),
+             "a b^2 c^-1 d": ((1, 2, -1, 1), 0),
+             "g^2": ((0, 0, 0, 0), 2), "h^-1": ((0, 0, 0, 0), -1),
+             "a b c d g": ((1, 1, 1, 1), 1), "e^-3": ((0, 0, 0, 0), -3),
+             "f^2 e f^-2": ((0, 0, 0, 0), 1), "a^2 f^-1": ((2, 0, 0, 0), -1),
+             "e f": ((1, 1, 1, 1), -1), "e^-1 f^-1": ((-1,) * 4, 1),
+             "a b c d e f^-1": ((1, 1, 1, 1), None),
+             "e^2 f": ((1, 1, 1, 1), None), "e^-2 f^-1": ((-1,) * 4, None),
+             "a b c d e^-2 f^-1": ((0, 0, 0, 0), None),
+             "a^-1 e^2 f^2": ((0, 1, 1, 1), None)}
+    for text, cm in known.items():
+        assert coefficients(parse(text)) == cm, text
+    # the data a reducible word is built from: c and gamma's power m
+    rng = random.Random(20261020)
+    for _ in range(500):
+        w, c, m, _ = _reducible_word(rng)
+        assert coefficients(w) == (c, m), w
+    # a pseudo-Anosov class: c_k = r_k + tau(P), tau the translation number
+    for _ in range(500):
+        w = _pseudo_anosov_word(rng, GENERATORS)
+        tau = twist_number(w)
+        assert coefficients(w) == (tuple(
+            x + tau for x in exponent_class(w).canonical[:4]), None), w
 
 
 def test_rules_agree_with_the_invariant():
