@@ -50,15 +50,11 @@ __all__ = [
 
 __version__ = "1.0.0"
 
-_ENGINE_NAMES = frozenset((
-    "Arc", "RVReport", "apply_twist", "apply_word", "arc_from_json",
-    "arc_to_json", "certify_model", "is_right_veering_upto", "make_arc",
-    "side_at_start", "witness_library"))
-
 
 def __getattr__(name):
-    """The engine's names, imported on first use (PEP 562)."""
-    if name in _ENGINE_NAMES:
+    """The engine's names, imported on first use (PEP 562): the names of
+    ``__all__`` that no import above binds."""
+    if name in __all__:
         from . import engine
         return getattr(engine, name)
     raise AttributeError("module %r has no attribute %r" % (__name__, name))

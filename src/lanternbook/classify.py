@@ -67,6 +67,12 @@ class OTShape(Value):
     n: int
     pattern: str
 
+    def __init__(self, r, m, n, pattern):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "pattern", pattern)
+
 
 def _shape(blocks):
     """The (m, n, pattern) of the special shape of interior ``blocks``,
@@ -127,6 +133,9 @@ def _tags(r, blocks, ot1_broad: bool):
     H1-H3 are mutually exclusive and H4 needs more blocks, so the
     fillable tags are the single rule :func:`lantern._h_rule` finds,
     if any."""
+    if type(ot1_broad) is not bool:
+        raise PreconditionError("ot1_broad is not a bool: %s"
+                                % shown(ot1_broad))
     rule = _h_rule(r, blocks)
     tags = [rule] if rule else []
     shape = _shape(blocks)
@@ -161,9 +170,6 @@ def classify_rules(rf: ReducedForm, ot1_broad: bool = False) -> Classification:
     no mirror) and return all matching tags with the precedence verdict
     Overtwisted > Fillable > RightVeering > Unknown."""
     _require_form(rf)
-    if type(ot1_broad) is not bool:
-        raise PreconditionError("ot1_broad is not a bool: %s"
-                                % shown(ot1_broad))
     tags = _tags(rf.r, rf.blocks, ot1_broad)
     tags = tuple(t for t in _RULE_ORDER if t in tags)
     return Classification(_verdict(tags), tags, 0, False, ot1_broad)
@@ -194,9 +200,6 @@ def classify(rf: ReducedForm, ot1_broad: bool = False) -> Classification:
     every candidate.  A form with no special shape has the tags of its
     mirror, which read only min r and the H4 cost (the argument is the
     one for long cores), so that mirror is skipped."""
-    if type(ot1_broad) is not bool:
-        raise PreconditionError("ot1_broad is not a bool: %s"
-                                % shown(ot1_broad))
     decisive = {}
     for k, r, blocks in _rotation_classes(rf):
         for t in _tags(r, blocks, ot1_broad):

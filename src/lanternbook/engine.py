@@ -68,8 +68,8 @@ fully deterministic for a fixed input:
    right-veering more cheaply;
 2. probe the witness library: nine stated 0-crossing arcs, one per
    family of the paper, each certified against its defining words when
-   the library is built.  Each entry is scored once on the word's
-   exponent sums (``_rank_library``): those scoring below 2 are probed
+   the library is built.  Each entry is matched once against the word's
+   exponent sums (``_rank_library``): those that match are probed
    before the rule, the rest after it, each pass in library order.
    Every probe is verified by an exact side computation before being
    reported.  The library is built only when a probe pass has a
@@ -125,8 +125,8 @@ from .errors import (InvariantViolation, MalformedArcError,
                      PreconditionError, shown)
 from .invariant import SLOPES, _invariant, _terms, right_veering
 from .invariant import equal_in_mcg  # noqa: F401  (re-exported)
-from .words import (BOUNDARY, GENERATORS, Value, format_word,
-                    free_reduce, parse)
+from .words import (BOUNDARY, GENERATORS, Value, _exponent_sums,
+                    format_word, free_reduce, parse)
 
 LEFT = "Left"
 RIGHT = "Right"
@@ -183,7 +183,7 @@ def _inv(word):
 # composition (the equality oracle's workload) affordable.  The image of
 # a single arc under a word is folded in the same bytes: the arc is
 # encoded once, each twist rewrites its crossing word, and the result is
-# decoded once (``Model.apply_word``).
+# decoded once (``apply_word``).
 # ----------------------------------------------------------------------
 
 _ENCODE = {1: 0x61, -1: 0x41, 2: 0x62, -2: 0x42, 3: 0x63, -3: 0x43}
@@ -377,15 +377,6 @@ def make_arc(start, crossings, end):
     return Arc(start, word, end)
 
 
-def canonical(arc):
-    """Freely reduce the crossing word (remove all bigons); idempotent."""
-    try:
-        start, crossings, end = arc.start, arc.crossings, arc.end
-    except AttributeError:
-        raise MalformedArcError("not an arc: %s" % shown(arc)) from None
-    return make_arc(start, crossings, end)
-
-
 def reverse(arc):
     """The same arc traversed from its other endpoint."""
     return Arc(arc.end, _inv(arc.crossings), arc.start)
@@ -564,6 +555,9 @@ class Model:
     def __init__(self):
         start = time.process_time()
         geometry.validate_model_data()
+        self._piece_cache = {}
+        self._action_cache = {}
+        self._rv_cache = {}
         self.tables = {}
         for name in GENERATORS:
             plus, minus = _action_from_polygon(geometry.CURVE_POLYGONS[name])
@@ -574,27 +568,17 @@ class Model:
             self.tables[name] = (plus, minus)
         self._certify_tables()
         self._certify_slopes()
-        self._piece_cache = {}
-        self._action_cache = {}
-        self._rv_cache = {}
         self.library_build_s = None
         self.build_s = time.process_time() - start
 
     # -- construction-time certification --------------------------------
-
-    def _letters_action(self, letters):
-        """Action of a sequence of (letter, sign) pairs, leftmost first."""
-        acc = IDENTITY_ACTION
-        for letter, sign in letters:
-            acc = _compose(acc, self.tables[letter][0 if sign > 0 else 1])
-        return acc
 
     def _certify_slopes(self):
         """The invariant, with the slopes :mod:`.invariant` states, decides
         every pair of ``_PIN_CHECKS`` as the arc action does."""
         for pair in _PIN_CHECKS:
             t1, t2 = (tuple((x, 1) for x in w) for w in pair)
-            by_action = self._letters_action(t1) == self._letters_action(t2)
+            by_action = self.word_action(t1) == self.word_action(t2)
             if by_action != (_invariant(SLOPES, t1) == _invariant(SLOPES, t2)):
                 raise InvariantViolation("slope invariant disagrees with the "
                                          "arc action", pair=pair,
@@ -649,14 +633,6 @@ class Model:
     def apply_action(self, action, arc):
         return _port_corrected(action, arc,
                                _crossing_image(action, arc.crossings))
-
-    def apply_word(self, arc, word):
-        """Apply a word to one arc, folding term by term in bytes: the
-        arc is encoded once, each twist's step runs on the encoded crossing
-        word, and the image is decoded once (cheaper than materializing the
-        composite action when only one image is needed)."""
-        _require_canonical(arc)
-        return self._fold(arc, free_reduce(word))
 
     def _fold(self, arc, terms):
         """The image of the canonical ``arc`` under the freely reduced
@@ -747,16 +723,19 @@ def apply_twist(arc, curve, sign=1):
     if type(sign) is not int or sign not in (1, -1):
         raise PreconditionError("sign must be the int +1 or -1, got %s"
                                 % shown(sign))
-    model = get_model()
-    _require_canonical(arc)
-    return model.apply_action(model.tables[curve][0 if sign > 0 else 1], arc)
+    return apply_word(arc, ((curve, sign),))
 
 
 def apply_word(arc, w):
-    """Image of ``arc`` under a word (leftmost letter acts first)."""
+    """Image of ``arc`` under a word (leftmost letter acts first), folded
+    term by term in bytes: the arc is encoded once, each twist's step runs
+    on the encoded crossing word, and the image is decoded once (cheaper
+    than materializing the composite action when only one image is
+    needed)."""
     if isinstance(w, str):
         w = parse(w)
-    return get_model().apply_word(arc, w)
+    _require_canonical(arc)
+    return get_model()._fold(arc, free_reduce(w))
 
 
 def _equal_by_action(w1, w2):
@@ -835,11 +814,11 @@ _PROBE_ARCS = tuple((entry.arc, reverse(entry.arc)) for entry in _LIBRARY)
 
 
 def _certify_library(model):
-    """Certify every entry through the public path: each of its patterns
-    moves its arc to the arc's own left."""
+    """Certify every entry on ``model``: each of its patterns moves its
+    arc to the arc's own left."""
     for entry in _LIBRARY:
         for pattern in entry.patterns:
-            img = model.apply_word(entry.arc, pattern)
+            img = model._fold(entry.arc, pattern)
             _require_canonical(img, InvariantViolation)
             if _side(entry.arc, img) != LEFT:
                 raise InvariantViolation("library witness failed validation",
@@ -857,26 +836,24 @@ def witness_library():
 # witness search
 # ----------------------------------------------------------------------
 
-def _probe_score(entry, sums):
-    kind = entry.kind
-    if kind[0] == "neg":
-        return 0 if sums.get(BOUNDARY[kind[1] - 1], 0) < 0 else 2
-    if kind[0] == "zero":
-        zero = sums.get(BOUNDARY[kind[1] - 1], 0) == 0
-        return 0 if zero and min(sums.get("e", 0), sums.get("f", 0)) < 0 else 2
-    return 1 if sums.get("e", 0) < 0 and sums.get("f", 0) < 0 else 2
-
-
 def _rank_library(terms):
     """The library indices of the two probe passes, in library order: the
-    entries scoring < 2 on the exponent sums of ``terms`` (``cross``, the
-    only one that can score 1, is last), then the rest."""
-    sums = {}
-    for letter, exp in terms:
-        sums[letter] = sums.get(letter, 0) + exp
+    entries whose kind the exponent sums of ``terms`` match, then the
+    rest.  A ``neg`` entry of C_k matches a negative sum of C_k's twist, a
+    ``zero`` one a zero sum there with e or f negative, and ``cross`` e
+    and f both negative."""
+    sums = _exponent_sums(terms)
+    e, f = sums[4], sums[5]
     cheap, rest = [], []
     for i, entry in enumerate(_LIBRARY):
-        (cheap if _probe_score(entry, sums) < 2 else rest).append(i)
+        kind = entry.kind
+        if kind[0] == "neg":
+            match = sums[kind[1] - 1] < 0
+        elif kind[0] == "zero":
+            match = sums[kind[1] - 1] == 0 and min(e, f) < 0
+        else:
+            match = e < 0 and f < 0
+        (cheap if match else rest).append(i)
     return cheap, rest
 
 

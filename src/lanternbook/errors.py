@@ -14,8 +14,11 @@ Only four kinds of failure are ever raised deliberately:
   verdicts).  This is never a user error; it signals a bug and maps to
   exit status 2 in the command line driver.
 
-A refusal echoes the value it refuses through ``shown``.
+A refusal echoes the value it refuses through ``shown``, except that of
+an int too long to print (``unprintable``), which names the limit.
 """
+
+import sys
 
 
 def shown(value, text=repr):
@@ -54,3 +57,12 @@ class InvariantViolation(Exception):
     def __init__(self, message, **details):
         super().__init__(message)
         self.details = dict(details)
+
+
+def unprintable():
+    """The refusal of an int too long to print, past the interpreter's
+    limit for converting an int to a string: it names the limit and does
+    not echo the value."""
+    return PreconditionError("an exponent has more than %d digits, the "
+                             "limit for printing an int"
+                             % sys.get_int_max_str_digits())

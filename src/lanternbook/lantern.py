@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import InvariantViolation, PreconditionError, shown
+from .errors import InvariantViolation, PreconditionError, shown, unprintable
 from .invariant import equal_in_mcg
 from .words import (BOUNDARY, Value, Word, _merge, concat, format_word,
                     free_reduce, invert, parse)
@@ -119,8 +119,11 @@ def _require_form(rf) -> None:
 
 def rf_to_json(rf: ReducedForm) -> str:
     _require_form(rf)
-    return json.dumps({"r": list(rf.r),
-                       "blocks": [list(b) for b in rf.blocks]})
+    try:
+        return json.dumps({"r": list(rf.r),
+                           "blocks": [list(b) for b in rf.blocks]})
+    except ValueError:                  # past the int-to-string digit limit
+        raise unprintable() from None
 
 
 def rf_from_json(doc) -> ReducedForm:

@@ -36,7 +36,7 @@ from __future__ import annotations
 from itertools import chain, repeat
 from operator import attrgetter
 
-from .errors import PreconditionError, WordSyntaxError, shown
+from .errors import PreconditionError, WordSyntaxError, shown, unprintable
 
 GENERATORS = "abcdefgh"
 _GENERATOR_SET = frozenset(GENERATORS)
@@ -155,10 +155,15 @@ def format_word(word) -> str:
     """Print a word in the grammar: single spaces, ``^1`` omitted.
 
     Round trip: ``parse(format_word(w)) == w`` for every valid word ``w``.
+    An exponent too long to print is refused with
+    :class:`PreconditionError`.
     """
     pieces = []
     for letter, exp in _checked(word):
-        pieces.append(letter if exp == 1 else "%s^%d" % (letter, exp))
+        try:
+            pieces.append(letter if exp == 1 else "%s^%d" % (letter, exp))
+        except ValueError:              # past the int-to-string digit limit
+            raise unprintable() from None
     return " ".join(pieces)
 
 
@@ -221,15 +226,12 @@ def mirror_word(word) -> Word:
 
 class Value:
     """Base of the immutable value types; a subclass's annotations are its
-    fields, which compare, hash and print as in a frozen dataclass.  Hot
-    types set fields by object.__setattr__ (writing __dict__ slows reads)."""
+    fields, which compare, hash and print as in a frozen dataclass.  Each
+    subclass takes its fields in its own ``__init__`` and sets them by
+    object.__setattr__ (writing __dict__ slows reads)."""
     def __init_subclass__(cls):
         cls._fields = tuple(cls.__annotations__)
         cls._values = attrgetter(*cls._fields)
-
-    def __init__(self, *values):
-        for name, value in zip(self._fields, values, strict=True):
-            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -264,6 +266,9 @@ class ExponentVector(Value):
     """
 
     canonical: tuple
+
+    def __init__(self, canonical):
+        object.__setattr__(self, "canonical", canonical)
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.canonical)

@@ -19,6 +19,7 @@ ADDRESS_SPACE = 512 * 2 ** 20
 CPU_SECONDS = 10
 
 _DIGITS = "9" * 5000                    # past the int-to-string limit
+_MERGED = "e^{0} e^{0}".format("9" * 4300)  # each within the limit
 REFUSED = (
     # a census block index is bounded before any coordinate is named
     ["census", "--range", "m100000000=0"],
@@ -32,6 +33,10 @@ REFUSED = (
     ["check-rv", "a e^" + _DIGITS],
     ["equal", "e^" + _DIGITS, "e"],
     ["factorize", "--format", "json", "f^" + _DIGITS],
+    # two exponents that parse merge into one too long to print
+    ["reduce", _MERGED],
+    ["factorize", _MERGED],
+    ["check-rv", "--format", "json", _MERGED],
 )
 
 

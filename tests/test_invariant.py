@@ -27,9 +27,11 @@ from lanternbook.invariant import (SLOPES, _certify_relations,
                                    _slope_product, coefficients,
                                    right_veering, twist_number)
 from lanternbook.lantern import ReducedForm, expand, reduce
+from lanternbook.geometry import PORT_TO_BOUNDARY, PORTS
 from lanternbook.words import (GENERATORS, INTERIOR, _canonical_class,
                                _exponent_sums, concat, exponent_class,
-                               free_reduce, invert, merge_terms, parse)
+                               free_reduce, invert, merge_terms, parse,
+                               word_length)
 from test_acceptance import _literal_h_tag, _random_form, _twist_shape_grid
 from witness_reference import naive_first_witness
 
@@ -250,6 +252,39 @@ def test_fdtc_threshold_matches_the_witness_search(monkeypatch):
                 arc = engine._rv_search(w, 5)
                 assert (arc is None) == verdict, (w, arc)
     assert len(taus) >= 4, taus
+
+
+def test_the_sign_of_each_coefficient_decides_the_0_crossing_arcs():
+    """Honda-Kazez-Matic's FDTC criterion against the engine, with no
+    search: where c_k < 0, every 0-crossing arc from a port on C_k to
+    another port goes left and the arc back to its own port is fixed;
+    where c_k > 0, none goes left.  Seeded words of 1-7 terms over all
+    eight letters, exponents +-1..+-3, of word length at most 12."""
+    model = get_model()
+    rng = random.Random(20261019)
+    checked = {"negative": 0, "positive": 0}
+    for _ in range(2000):
+        w = merge_terms([(rng.choice(GENERATORS), rng.choice(_EXPONENTS))
+                         for _ in range(rng.randint(1, 7))])
+        if word_length(w) > 12:
+            continue
+        c, _ = coefficients(w)
+        action = model.word_action(w)
+        for s in PORTS:
+            ck = c[int(PORT_TO_BOUNDARY[s][0][1]) - 1]
+            if ck == 0:
+                continue
+            for t in PORTS:
+                arc = engine.Arc(s, (), t)
+                side = engine.side_at_start(arc,
+                                            model.apply_action(action, arc))
+                if ck < 0:
+                    assert side == ("Equal" if s == t else "Left"), (w, arc)
+                    checked["negative"] += 1
+                else:
+                    assert side != "Left", (w, arc)
+                    checked["positive"] += 1
+    assert min(checked.values()) > 5000, checked
 
 
 def test_fdtc_on_the_papers_rule_families():
