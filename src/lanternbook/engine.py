@@ -10,11 +10,12 @@ reduced triple is a complete isotopy invariant rel endpoints.
 images of the three one-crossing loop classes t1, t2, t3 (a free basis of
 the fundamental group based at the top of C1) plus, for each of the six
 ports, the crossing word of the image of a fixed reference arc running
-from the basepoint to that port.  The data of a single twist is computed
-once, geometrically, by splicing a copy of the twist curve into each
-basis loop and reference arc at every transverse intersection; composite
-words compose the data algebraically.  The image of the arc (s, u, t)
-under data (phi, W) has crossing word  W_s^{-1} · phi(u) · W_t  (freely
+from the basepoint to that port.  The data of a power T^k of one twist
+are read off the geometry: each basis loop and reference arc is cut once
+at its crossings with the twist curve, and T^k puts in |k| copies of the
+curve at each, so a power costs the size of its data; composite words
+compose the data algebraically.  The image of the arc (s, u, t) under
+data (phi, W) has crossing word  W_s^{-1} · phi(u) · W_t  (freely
 reduced), because the closed-up loop (reference arc in, u across, reverse
 reference arc out) transforms by phi.
 
@@ -107,11 +108,12 @@ the witness library is built: the library build runs the anchor and
 order batteries and checks each of the nine stated library arcs against
 every defining word of its entry.  The geometry is integer arithmetic
 and the certifiers share their work: each polyline is spliced once for
-both signs; the order battery images each arc once per word, checks each
-arc and image once (a bad one is an ``InvariantViolation``) and compares
-every pair unchecked; a sweep substitutes each crossing word once for
-all its port pairs and builds an ``Arc`` only for its witness.  The CPU
-seconds of the two builds are ``Model.build_s`` and ``library_build_s``.
+every power, whose squares must be the squares of the tables; the order
+battery images each arc once per word, checks each arc and image once (a
+bad one is an ``InvariantViolation``) and compares every pair unchecked;
+a sweep substitutes each crossing word once for all its port pairs and
+builds an ``Arc`` only for its witness.  The CPU seconds of the two
+builds are ``Model.build_s`` and ``library_build_s``.
 """
 
 from __future__ import annotations
@@ -292,24 +294,23 @@ def _compose(first, then):
     return ArcAction(phi, w)
 
 
-def _action_from_polygon(polygon):
-    """Action data ``(plus, minus)`` of the right and left Dehn twists
-    along a curve polygon, read off the spliced basis loops and reference
-    arcs (each polyline is spliced once for both signs)."""
-    loops = [geometry.splice(loop, polygon) for loop in geometry.BASIS_LOOPS]
-    arcs = [geometry.splice(geometry.REFERENCE_ARCS[p][0], polygon)
-            for p in PORTS]
-    actions = []
-    for side in (0, 1):
-        vs = [_reduce_str(_encode(geometry.crossing_word(pair[side])))
-              for pair in loops]
-        phi1 = vs[0]
-        phi2 = _cat_str(_inv_str(vs[1]), phi1)
-        phi3 = _cat_str(_inv_str(vs[2]), phi2)
-        w = [_reduce_str(_encode(geometry.crossing_word(pair[side])))
-             for pair in arcs]
-        actions.append(ArcAction((phi1, phi2, phi3), tuple(w)))
-    return tuple(actions)
+def _twist_action(spliced, k):
+    """Action data of T^k (k < 0 for left twists) from the splices of the
+    basis loops and then the reference arcs with the twist curve: T^k puts
+    loop^(k*sign) in at every crossing.  Each piece is reduced on its own
+    (a power of the cyclically reduced loop already is) and the pieces are
+    joined at their seams, so the cost is linear in the answer."""
+    words = []
+    for pieces in spliced:
+        word = _reduce_str(_encode(pieces[0]))
+        for (sign, loop), piece in zip(pieces[1::2], pieces[2::2]):
+            power = _encode(loop if k * sign > 0 else _inv(loop)) * abs(k)
+            word = _cat_str(_cat_str(word, power),
+                            _reduce_str(_encode(piece)))
+        words.append(word)
+    v1, v2, v3, *w = words
+    phi2 = _cat_str(_inv_str(v2), v1)
+    return ArcAction((v1, phi2, _cat_str(_inv_str(v3), phi2)), tuple(w))
 
 
 # spot patterns of the port correction words of the positive a, e and f
@@ -555,12 +556,16 @@ class Model:
     def __init__(self):
         start = time.process_time()
         geometry.validate_model_data()
+        lines = geometry.BASIS_LOOPS + [geometry.REFERENCE_ARCS[p][0]
+                                        for p in PORTS]
+        self._splices = {name: [geometry.splice(line, K) for line in lines]
+                         for name, K in geometry.CURVE_POLYGONS.items()}
         self._piece_cache = {}
         self._action_cache = {}
         self._rv_cache = {}
         self.tables = {}
         for name in GENERATORS:
-            plus, minus = _action_from_polygon(geometry.CURVE_POLYGONS[name])
+            plus, minus = (self.piece_action(name, s) for s in (1, -1))
             if _compose(plus, minus) != IDENTITY_ACTION \
                     or _compose(minus, plus) != IDENTITY_ACTION:
                 raise InvariantViolation("twist inverse pair failed",
@@ -603,18 +608,20 @@ class Model:
                 if cut is not None and crossed != ([cut] if cut else []):
                     raise InvariantViolation(
                         "%s-table correction words off-pattern" % letter)
+        # every power is in closed form; its squares are those of the tables
+        for letter, (plus, minus) in self.tables.items():
+            if (self.piece_action(letter, 2), self.piece_action(letter, -2)) \
+                    != (_compose(plus, plus), _compose(minus, minus)):
+                raise InvariantViolation(
+                    "twist power disagrees with its table", curve=letter)
 
     # -- word -> action --------------------------------------------------
 
     def piece_action(self, letter, exp):
-        key = (letter, exp)
-        hit = self._piece_cache.get(key)
+        hit = self._piece_cache.get((letter, exp))
         if hit is None:
-            base = self.tables[letter][0 if exp > 0 else 1]
-            acc = base if exp else IDENTITY_ACTION
-            for _ in range(abs(exp) - 1):
-                acc = _compose(acc, base)
-            hit = self._piece_cache[key] = acc
+            hit = _twist_action(self._splices[letter], exp)
+            self._piece_cache[letter, exp] = hit
         return hit
 
     def word_action(self, word):

@@ -31,10 +31,10 @@ The module provides:
   fundamental group, one reference arc per boundary port, and polygon
   representatives of the eight twist curves, keyed by the generator that
   twists along each;
-* ``splice``: the right and left Dehn-twist images of a polyline, from
-  one pass over its crossings with the curve.  At every transverse
-  intersection with the twist curve one full copy of the curve polygon is
-  inserted, traversed in the direction that makes the determinant
+* ``splice``: a polyline's crossing word cut at its crossings with a
+  twist curve, from one pass over them.  A power T^k of the twist inserts
+  |k| copies of the curve at each transverse intersection (Farb-Margalit,
+  *A Primer on Mapping Class Groups*, 3.1), in the direction that makes
   det(inserted tangent, object tangent) positive for a right twist and
   negative for a left twist.  This is exact on any transverse polyline
   representative; minimal position is never needed because the downstream
@@ -289,20 +289,18 @@ def crossing_word(points, closed=False):
 # ----------------------------------------------------------------------
 
 def splice(points, polygon):
-    """Images ``(right, left)`` of the polyline under the right and the
-    left Dehn twist along ``polygon``.
-
-    At each transverse crossing z of the polyline with the polygon, one
-    full copy of the polygon (based at z) is inserted, traversed in the
-    direction making det(inserted tangent, object tangent) positive for the
-    right twist and negative for the left twist.  The crossings do not
-    depend on the twist's sign, so they are found (and asserted generic)
-    once for both images.  Endpoints never move.  The output is exact.
+    """The polyline's crossing word cut at each crossing with the curve
+    ``polygon``: ``[word, (sign, loop), word, ..., word]``.  ``loop`` is
+    the curve's crossing word read once around from the crossing z, and
+    ``sign`` is +1 when det(curve tangent, polyline tangent) > 0 at z, the
+    direction in which a right twist inserts it, so T^k (k < 0 for left
+    twists) puts loop^(k*sign) in at every crossing.  The crossings do not
+    depend on k, so they are found (and asserted generic) once for every
+    power.  Endpoints never move.
     """
     n = len(polygon)
     edges = [(polygon[i], polygon[(i + 1) % n]) for i in range(n)]
-    right = [points[0]]
-    left = [points[0]]
+    out, piece = [], [points[0]]
     for j in range(len(points) - 1):
         p, q = points[j], points[j + 1]
         hits = []
@@ -321,22 +319,16 @@ def splice(points, polygon):
                 raise InvariantViolation("splice point on the axis",
                                          point=str(z))
             r, s = edges[ei]
-            d_cur = _sub(s, r)
-            orient = _det(*d_cur, *d_obj)
+            orient = _det(*_sub(s, r), *d_obj)
             if orient == 0:
                 raise InvariantViolation("tangential splice")
-            forward = [z] + [polygon[(ei + 1 + k) % n] for k in range(n)] \
-                + [z]
-            backward = [z] + [polygon[(ei - k) % n] for k in range(n)] + [z]
-            if orient > 0:
-                right.extend(forward)
-                left.extend(backward)
-            else:
-                right.extend(backward)
-                left.extend(forward)
-        right.append(q)
-        left.append(q)
-    return right, left
+            loop = [z] + [polygon[(ei + 1 + k) % n] for k in range(n)] + [z]
+            out += [crossing_word(piece + [z]),
+                    (1 if orient > 0 else -1, crossing_word(loop))]
+            piece = [z]
+        piece.append(q)
+    out.append(crossing_word(piece))
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Adversarial command lines, each run in a child process under its own
-address-space and CPU limits: every one must be refused with exit 1 and
-a single ``error:`` line, with no traceback, before it allocates.
+address-space and CPU limits: every refused one must exit 1 with a single
+``error:`` line, with no traceback, before it allocates, and every
+answered one must print its expected answer.
 
 The limits are set with ``resource.setrlimit`` in the child only
 (``preexec_fn``), so a regression ends in that child's ``MemoryError``
@@ -39,6 +40,15 @@ REFUSED = (
     ["check-rv", "--format", "json", _MERGED],
 )
 
+_WITNESS = ('NotRightVeering (boundary C1) witness {"start": ["C1", 0], '
+            '"end": ["%s", 0], "crossings": []}\n')
+# long powers of one twist, each answered from its closed form
+ANSWERED = (
+    (["check-rv", "e^-16000"], _WITNESS % "C3"),
+    (["check-rv", "a^-100000"], _WITNESS % "C2"),
+    (["check-rv", "e^-1000000"], _WITNESS % "C3"),
+)
+
 
 def _limit_child():
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
@@ -56,16 +66,33 @@ def run_limited(argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def _row(i, argv):
+    """A row's index and its command line cut to about 80 characters: a
+    long word would fill the failure message with its digits."""
+    line = " ".join(argv)
+    return i, line if len(line) <= 80 else line[:77] + "..."
+
+
 def test_hostile_command_lines_are_refused_within_the_limits():
-    for argv in REFUSED:
+    for i, argv in enumerate(REFUSED):
         code, out, err = run_limited(argv)
-        assert code == 1, (argv[:2], code, err[-300:])
-        assert out == "", argv[:2]
-        assert "Traceback" not in err, (argv[:2], err[-300:])
+        row = _row(i, argv)
+        assert code == 1, (row, code, err[-300:])
+        assert out == "", (row, out[:300])
+        assert "Traceback" not in err, (row, err[-300:])
         assert [line.startswith("error:") for line in err.splitlines()] \
-            == [True], (argv[:2], err[-300:])
+            == [True], (row, err[-300:])
+
+
+def test_long_twist_powers_are_answered_within_the_limits():
+    for i, (argv, expected) in enumerate(ANSWERED):
+        code, out, err = run_limited(argv)
+        row = _row(i, argv)
+        assert (code, err) == (0, ""), (row, code, err[-300:])
+        assert out == expected, (row, out[:300])
 
 
 if __name__ == "__main__":
     test_hostile_command_lines_are_refused_within_the_limits()
-    print("refused corpus ok")
+    test_long_twist_powers_are_answered_within_the_limits()
+    print("resource corpus ok")

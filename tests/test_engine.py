@@ -136,16 +136,19 @@ def test_order_battery_catches_a_wrong_image(monkeypatch):
 
 def _polygon_actions(monkeypatch, curve, change):
     """Replace the twist tables (plus, minus) that the build reads off the
-    polygon of ``curve`` by ``change(plus, minus)``."""
-    true_action = engine._action_from_polygon
+    splices of ``curve`` by ``change(plus, minus)``."""
+    true_action = engine._twist_action
+    lines = geometry.BASIS_LOOPS + [geometry.REFERENCE_ARCS[p][0]
+                                    for p in PORTS]
+    target = [geometry.splice(line, CURVE_POLYGONS[curve]) for line in lines]
 
-    def patched(polygon):
-        plus, minus = true_action(polygon)
-        if polygon is CURVE_POLYGONS[curve]:
-            return change(plus, minus)
-        return plus, minus
+    def patched(spliced, k):
+        if spliced != target or abs(k) != 1:
+            return true_action(spliced, k)
+        plus, minus = change(true_action(spliced, 1), true_action(spliced, -1))
+        return plus if k > 0 else minus
 
-    monkeypatch.setattr(engine, "_action_from_polygon", patched)
+    monkeypatch.setattr(engine, "_twist_action", patched)
 
 
 def _tables_after_naming(monkeypatch, corrupt):
@@ -168,8 +171,11 @@ def _fault_inverse_pair(monkeypatch):
 def _fault_naming(monkeypatch):
     # g and h swapped: both tables still pass the table batteries, but the
     # lantern relations fail in the action and hold in the invariant
-    _tables_after_naming(monkeypatch, lambda tables: tables.update(
-        g=tables["h"], h=tables["g"]))
+    true_splice = geometry.splice
+    g, h = CURVE_POLYGONS["g"], CURVE_POLYGONS["h"]
+    swapped = {id(g): h, id(h): g}
+    monkeypatch.setattr(geometry, "splice", lambda points, polygon:
+                        true_splice(points, swapped.get(id(polygon), polygon)))
     try:
         Model()
     except InvariantViolation as exc:
@@ -198,6 +204,18 @@ def _fault_port_words(monkeypatch):
 
     _tables_after_naming(monkeypatch, times_a)
     Model()
+
+
+def _fault_power(monkeypatch):
+    # the tables are right, but every power past them is one twist short
+    true_action = engine._twist_action
+    monkeypatch.setattr(engine, "_twist_action", lambda spliced, k:
+                        true_action(spliced, k - (k > 1) + (k < -1)))
+    try:
+        Model()
+    except InvariantViolation as exc:
+        assert "twist power disagrees with its table" in str(exc)
+        raise
 
 
 def _fault_pinned_relation(monkeypatch):
@@ -257,7 +275,8 @@ def _fault_library_validation(monkeypatch):
 
 @pytest.mark.parametrize("fault", [
     _fault_inverse_pair, _fault_naming, _fault_centrality,
-    _fault_distinctness, _fault_port_words, _fault_pinned_relation,
+    _fault_distinctness, _fault_port_words, _fault_power,
+    _fault_pinned_relation,
     _fault_anchors, _fault_library_validation, _fault_order_image_backtrack,
     _fault_library_image_backtrack])
 def test_a_corrupted_table_fails_the_build(monkeypatch, fault):
@@ -1072,6 +1091,38 @@ def test_arc_actions_are_values():
     # equal field values in two types are two unequal values
     assert Arc(12, (), None) != RVReport(12, (), None)
     assert RVReport(12, (), None) != Arc(12, (), None)
+
+
+def _composed_power(model, letter, exp):
+    """Reference for the closed-form powers of ``piece_action``: the
+    composition loop it ran before, one certified table at a time."""
+    base = model.tables[letter][0 if exp > 0 else 1]
+    acc = base if exp else IDENTITY_ACTION
+    for _ in range(abs(exp) - 1):
+        acc = engine._compose(acc, base)
+    return acc
+
+
+def test_twist_powers_match_the_composition_of_their_tables():
+    model = get_model()
+    for letter in GENERATORS:
+        for exp in range(-12, 13):
+            assert model.piece_action(letter, exp) == \
+                _composed_power(model, letter, exp), (letter, exp)
+
+
+def test_twist_powers_obey_the_group_law():
+    # composing a power of g or h substitutes images whose cancellations
+    # nest as deep as the exponent, one reduction pass per level, so their
+    # exponents stay in the tens
+    model = get_model()
+    for letter in GENERATORS:
+        n = 40 if letter in "gh" else 300
+        for a, b in ((n, n // 2), (-n, n // 3), (n, -n // 2),
+                     (-n * 5 // 6, -n), (n, -n)):
+            assert engine._compose(model.piece_action(letter, a),
+                                   model.piece_action(letter, b)) \
+                == model.piece_action(letter, a + b), (letter, a, b)
 
 
 def test_piece_action_of_a_zero_exponent_is_the_identity():

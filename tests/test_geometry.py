@@ -1,6 +1,7 @@
 """The exact planar predicates: segment crossing with its bounding-box
-pre-reject and its loud failure on borderline configurations, the
-two-sided splice, and the integer model data that keep all of it exact."""
+pre-reject and its loud failure on borderline configurations, the splice
+that serves every twist power, and the integer model data that keep all
+of it exact."""
 
 from fractions import Fraction as Fr
 
@@ -8,8 +9,8 @@ import pytest
 
 from lanternbook.errors import InvariantViolation
 from lanternbook import geometry
-from lanternbook.geometry import (BASIS_LOOPS, CURVE_POLYGONS, crossing_word,
-                                  segment_cross, splice)
+from lanternbook.geometry import (BASIS_LOOPS, CURVE_POLYGONS, CURVE_WORDS,
+                                  crossing_word, segment_cross, splice)
 
 
 def _seg(*coords):
@@ -44,23 +45,30 @@ def test_segment_cross_raises_on_borderline_pairs_with_touching_boxes():
             segment_cross(*segments)
 
 
+def _cyclically_reduced(word):
+    return all(x != -y for x, y in zip(word, word[1:] + word[:1]))
+
+
 def test_splice_builds_both_signs_from_the_same_crossings():
-    for polygon in CURVE_POLYGONS.values():
-        for loop in BASIS_LOOPS:
-            right, left = splice(loop, polygon)
-            assert right[0] == left[0] == loop[0]
-            assert right[-1] == left[-1] == loop[-1]
-            # one inserted copy of the polygon (plus the doubled splice
-            # point) per crossing, whichever way it is traversed
-            assert len(right) == len(left)
-            assert (len(right) - len(loop)) % (len(polygon) + 2) == 0
-    # a loop that misses the curve is left as it is by both twists
+    lines = (list(BASIS_LOOPS)
+             + [arc for arc, _ in geometry.REFERENCE_ARCS.values()])
+    for name, polygon in CURVE_POLYGONS.items():
+        own = CURVE_WORDS[name]
+        rotations = {own[i:] + own[:i] for i in range(len(own))}
+        for line in lines:
+            spliced = splice(line, polygon)
+            # the pieces alone, with no loop put in, read the line itself
+            assert sum(spliced[::2], ()) == crossing_word(line)
+            for sign, loop in spliced[1::2]:
+                assert sign in (1, -1)
+                assert loop in rotations and _cyclically_reduced(loop)
+    # a loop that misses the curve is one piece
     loop = BASIS_LOOPS[0]
-    assert splice(loop, CURVE_POLYGONS["d"]) == (loop, loop)
+    assert splice(loop, CURVE_POLYGONS["d"]) == [(1,)]
     assert crossing_word(loop) == (1,)
 
 
-def test_the_geometry_stays_exact():
+def test_the_geometry_stays_exact(monkeypatch):
     # the model data are ints on the 1/100 grid
     spliced = (list(BASIS_LOOPS)
                + [arc for arc, _ in geometry.REFERENCE_ARCS.values()])
@@ -71,11 +79,23 @@ def test_the_geometry_stays_exact():
     assert all(type(x) is int for pt in points for x in pt)
     with pytest.raises(InvariantViolation, match="grid"):
         geometry._pts((1, "1/3"))
-    # a splice adds Fraction crossing points, never a float
+    # a splice cuts its lines at Fraction crossing parameters and points,
+    # never at a float
+    hits = []
+
+    def recording_cross(*segments):
+        hit = segment_cross(*segments)
+        if hit is not None:
+            hits.append(hit)
+        return hit
+
+    monkeypatch.setattr(geometry, "segment_cross", recording_cross)
     for polygon in CURVE_POLYGONS.values():
         for line in spliced:
-            for image in splice(line, polygon):
-                assert all(type(x) in (int, Fr) for pt in image for x in pt)
+            splice(line, polygon)
+    assert hits
+    for t, point in hits:
+        assert type(t) is Fr and all(type(x) in (int, Fr) for x in point)
     # "/" on two ints would give a float parameter
     t, point = segment_cross((0, 0), (2, 2), (0, 3), (3, 0))
     assert type(t) is Fr and t == Fr(3, 4) and point == (Fr(3, 2), Fr(3, 2))
