@@ -12,14 +12,15 @@ The package has three layers:
 * :mod:`lanternbook.lantern` / :mod:`lanternbook.classify` -- the
   reduced normal form, positive factorizations, and the
   fillable/overtwisted/right-veering rule set;
-* :mod:`lanternbook.geometry` / :mod:`lanternbook.engine` -- arcs on
-  the cut-open surface, the certified twist action, and the bounded
-  left-witness search.
+* :mod:`lanternbook.engine` -- arcs on the cut-open 12-gon, the side
+  test, the certified twist action, and the bounded left-witness search.
 
-Everything is pure Python on the standard library.  The engine's names
+Everything is pure Python on the standard library, and every layer
+raises the error kinds of :mod:`lanternbook.errors`.  The engine's names
 are re-exported lazily, so only a process that uses one imports the
-engine; its first call builds and certifies the twist tables once per
-process.
+engine, and only its first model build, which certifies the twist
+tables once per process, imports the planar model
+:mod:`lanternbook.geometry`.
 """
 
 from .classify import (Classification, OTShape, classify, classify_rules,

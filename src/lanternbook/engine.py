@@ -1,6 +1,6 @@
 """Exact arc engine for the four-holed sphere.
 
-Cutting the surface along the three cut arcs (see :mod:`.geometry`) opens
+Cutting the surface along the three cut arcs of the planar model opens
 it into a single 12-gon, so a properly embedded arc is described exactly
 by its start port, its freely reduced sequence of signed cut crossings,
 and its end port.  Every freely reduced sequence is realizable, and the
@@ -11,13 +11,13 @@ images of the three one-crossing loop classes t1, t2, t3 (a free basis of
 the fundamental group based at the top of C1) plus, for each of the six
 ports, the crossing word of the image of a fixed reference arc running
 from the basepoint to that port.  The data of a power T^k of one twist
-are read off the geometry: each basis loop and reference arc is cut once
-at its crossings with the twist curve, and T^k puts in |k| copies of the
-curve at each, so a power costs the size of its data; composite words
-compose the data algebraically.  The image of the arc (s, u, t) under
-data (phi, W) has crossing word  W_s^{-1} · phi(u) · W_t  (freely
-reduced), because the closed-up loop (reference arc in, u across, reverse
-reference arc out) transforms by phi.
+are read off the planar model: each basis loop and reference arc is cut
+once at its crossings with the twist curve, and T^k puts in |k| copies
+of the curve at each, so a power costs the size of its data; composite
+words compose the data algebraically.  The image of the arc (s, u, t)
+under data (phi, W) has crossing word  W_s^{-1} · phi(u) · W_t  (freely
+reduced), because the closed-up loop (reference arc in, u across,
+reverse reference arc out) transforms by phi.
 
 **Equality oracle.**  Equality in the mapping class group is decided by
 the slope matrices plus the exponent class (:mod:`.invariant`, whose
@@ -36,15 +36,30 @@ rather than merely a hash.  Its data grow like (3+2*sqrt(2))^n, the
 spectral radius of the slope matrices, so it certifies the model and
 cross-validates the invariant but answers no equality query.
 
-**Side comparison.**  Two distinct arcs with the same start point diverge
-either at a crossing or at an end port.  Lift the divergence to the cut
-12-gon: both strands enter through the same edge and leave through two
-distinct edges.  Walking the 12-gon boundary counterclockwise from the
-entry edge meets the right side of the entering strand first, so the arc
-whose exit edge has the *smaller* counterclockwise offset from the entry
-edge passes to the *right* of the other.  This offset comparison is a
-total order on arcs from a fixed start (lexicographic over the planar
-tree of reduced crossing words), which the witness search relies on.
+**Side comparison.**  The twelve boundary edges of the cut-open disk, in
+counterclockwise order (surface kept on the left; hole circles are
+traversed clockwise in the plane), are ``EDGE_CYCLE``::
+
+    index  0     1    2     3    4     5   6     7    8     9    10    11
+    edge   c1+  P2a  c2+  P3a  c3+   P4  c3-  P3b  c2-  P2b  c1-   P1
+
+where ``ci+``/``ci-`` are the upper/lower sides of cut i and P* are the
+boundary intervals ("ports"): C1 and C4 contribute one port each (P1,
+P4), C2 and C3 two each (P2a/P3a above the axis, P2b/P3b below).  A
+strand leaves through ``ci+`` when its next crossing is +i (downward) and
+re-enters through ``ci-``.  The cycle alternates cut sides and ports, so
+both neighbours of a cut side are ports, and the witness-search prune
+relies on that.
+
+Two distinct arcs with the same start point diverge either at a crossing
+or at an end port.  Lift the divergence to the cut 12-gon: both strands
+enter through the same edge and leave through two distinct edges.
+Walking the 12-gon boundary counterclockwise from the entry edge meets
+the right side of the entering strand first, so the arc whose exit edge
+has the *smaller* counterclockwise offset from the entry edge passes to
+the *right* of the other.  This offset comparison is a total order on
+arcs from a fixed start (lexicographic over the planar tree of reduced
+crossing words), which the witness search relies on.
 ``_turns_left`` states it once, and every comparison decides its
 divergence through it.  ``side_at_start`` checks that both arcs are
 canonical and calls the unchecked ``_side``, which reads the ports and
@@ -106,7 +121,7 @@ end port in listed order, then children by crossing letter +1, -1, +2,
 **Build.**  The model certifies itself at construction and again when
 the witness library is built: the library build runs the anchor and
 order batteries and checks each of the nine stated library arcs against
-every defining word of its entry.  The geometry is integer arithmetic
+every defining word of its entry.  The planar model is integer arithmetic
 and the certifiers share their work: each polyline is spliced once for
 every power, whose squares must be the squares of the tables; the order
 battery images each arc once per word, checks each arc and image once (a
@@ -122,7 +137,6 @@ import time
 from collections import namedtuple
 from functools import cached_property
 
-from . import geometry
 from .errors import (InvariantViolation, MalformedArcError,
                      PreconditionError, shown)
 from .invariant import SLOPES, _invariant, _terms, right_veering
@@ -134,18 +148,27 @@ LEFT = "Left"
 RIGHT = "Right"
 EQUAL = "Equal"
 
-PORTS = geometry.PORTS
+# the cut 12-gon (module docstring, side comparison), and each port as
+# (boundary circle, position index) for serialization; the ports in
+# this order are the canonical enumeration order
+EDGE_CYCLE = ("c1+", "P2a", "c2+", "P3a", "c3+", "P4",
+              "c3-", "P3b", "c2-", "P2b", "c1-", "P1")
+PORT_TO_BOUNDARY = {"P1": ("C1", 0), "P2a": ("C2", 0), "P2b": ("C2", 1),
+                    "P3a": ("C3", 0), "P3b": ("C3", 1), "P4": ("C4", 0)}
+BOUNDARY_TO_PORT = {v: k for k, v in PORT_TO_BOUNDARY.items()}
+PORTS = tuple(PORT_TO_BOUNDARY)
 PORT_IDX = {p: i for i, p in enumerate(PORTS)}
-_EDGE_OF_PORT = tuple(geometry.port_edge(p) for p in PORTS)
+_EDGE_OF_PORT = tuple(map(EDGE_CYCLE.index, PORTS))
 _LETTERS = (1, -1, 2, -2, 3, -3)
 # 12-gon edge a strand leaves through when its next crossing is the
-# letter, and the edge it re-enters through after crossing it
-_EXIT = {x: geometry.exit_edge(x) for x in _LETTERS}
-_REENTRY = {x: geometry.reentry_edge(x) for x in _LETTERS}
+# letter, and the edge it re-enters through, which the backtrack leaves by
+_EXIT = {x: EDGE_CYCLE.index("c%d%s" % (abs(x), "+" if x > 0 else "-"))
+         for x in _LETTERS}
+_REENTRY = {x: _EXIT[-x] for x in _LETTERS}
 
 
 def _neighbour_port(edge):
-    name = geometry.EDGE_CYCLE[edge % 12]
+    name = EDGE_CYCLE[edge % 12]
     if name not in PORT_IDX:
         raise InvariantViolation("12-gon edge next to a cut side is not a "
                                  "port", edge=name)
@@ -343,10 +366,10 @@ class Arc(Value):
         object.__setattr__(self, "end", end)
 
     def start_boundary(self):
-        return geometry.PORT_TO_BOUNDARY[self.start]
+        return PORT_TO_BOUNDARY[self.start]
 
     def end_boundary(self):
-        return geometry.PORT_TO_BOUNDARY[self.end]
+        return PORT_TO_BOUNDARY[self.end]
 
 
 def _checked_word(crossings):
@@ -400,7 +423,7 @@ def arc_from_json(obj):
         # True and 0.0 would find the ports of 1 and 0 by hash
         if any(type(e[1]) is not int for e in ends):
             raise TypeError("port index is not an int")
-        start, end = (geometry.BOUNDARY_TO_PORT[tuple(e)] for e in ends)
+        start, end = (BOUNDARY_TO_PORT[tuple(e)] for e in ends)
         raw = list(obj["crossings"])
     except (KeyError, TypeError, IndexError) as exc:
         raise MalformedArcError("bad arc serialization: %s"
@@ -554,6 +577,8 @@ class Model:
     faults (InvariantViolation) rather than return a bad model."""
 
     def __init__(self):
+        # the planar model is needed only here; build_s leaves out its import
+        from . import geometry
         start = time.process_time()
         geometry.validate_model_data()
         lines = geometry.BASIS_LOOPS + [geometry.REFERENCE_ARCS[p][0]
@@ -785,7 +810,9 @@ def _canonical_sweep(action, depth):
                     image = images[u] = _crossing_image(action, u)
                 head = _cat_str(action.w_inv[s], image)
                 for t in range(6):
-                    v = _decode(_cat_str(head, action.w[t]))
+                    # _side_of reads v up to index len(u) only, and the
+                    # cut image is as long as u only if the whole one is
+                    v = _decode(_cat_str(head, action.w[t])[:len(u) + 1])
                     if _side_of(s, u, t, v, t) == LEFT:
                         return Arc(PORTS[s], u, PORTS[t])
     return None

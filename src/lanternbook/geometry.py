@@ -15,7 +15,8 @@ holes::
     cut 2 : (9/4, 11/4) x {0}    (from C2 to C3)
     cut 3 : (13/4, 15/4) x {0}   (from C3 to C4)
 
-Cutting along all three opens the surface into a single disk (a 12-gon).
+Cutting along all three opens the surface into a single disk, a 12-gon
+whose boundary cycle the engine module states.
 A curve or arc drawn as a polyline is encoded by its *crossing word*: the
 sequence of signed cut crossings read along it, ``+i`` for crossing cut i
 downward (from y>0 to y<0) and ``-i`` for upward.  Crossings of the x-axis
@@ -40,21 +41,6 @@ The module provides:
   representative; minimal position is never needed because the downstream
   consumers only read crossing words (free homotopy data), not geometric
   intersection counts.
-
-The twelve boundary edges of the cut-open disk, in counterclockwise order
-(surface kept on the left; hole circles are traversed clockwise in the
-plane), are::
-
-    index  0     1    2     3    4     5   6     7    8     9    10    11
-    edge   c1+  P2a  c2+  P3a  c3+   P4  c3-  P3b  c2-  P2b  c1-   P1
-
-where ``ci+``/``ci-`` are the upper/lower sides of cut i and P* are the
-boundary intervals ("ports"): C1 and C4 contribute one port each (P1, P4),
-C2 and C3 two each (P2a/P3a above the axis, P2b/P3b below).  This cycle is
-what turns first-divergence of crossing words into the left/right order of
-arcs; see the engine module.  It alternates cut sides and ports, so both
-neighbours of a cut side are ports, and the engine's witness-search prune
-relies on that.
 """
 
 from __future__ import annotations
@@ -75,36 +61,6 @@ HOLES = {k: (SCALE * k, 0) for k in (1, 2, 3, 4)}
 # open x-intervals of the three cuts on the axis
 CUTS = {i: (SCALE * i + RADIUS, SCALE * i + 3 * RADIUS) for i in (1, 2, 3)}
 CUT_ENDPOINTS = sorted(x for lo_hi in CUTS.values() for x in lo_hi)
-
-# ports, in the canonical enumeration order
-PORTS = ("P1", "P2a", "P2b", "P3a", "P3b", "P4")
-
-# counterclockwise boundary cycle of the cut-open 12-gon
-EDGE_CYCLE = ("c1+", "P2a", "c2+", "P3a", "c3+", "P4",
-              "c3-", "P3b", "c2-", "P2b", "c1-", "P1")
-EDGE_INDEX = {name: i for i, name in enumerate(EDGE_CYCLE)}
-
-# port label <-> (boundary circle, position index) for serialization
-PORT_TO_BOUNDARY = {"P1": ("C1", 0), "P2a": ("C2", 0), "P2b": ("C2", 1),
-                    "P3a": ("C3", 0), "P3b": ("C3", 1), "P4": ("C4", 0)}
-BOUNDARY_TO_PORT = {v: k for k, v in PORT_TO_BOUNDARY.items()}
-
-
-def exit_edge(letter: int) -> int:
-    """12-gon edge through which a strand leaves the disk when its next
-    crossing is ``letter`` (+i leaves via the upper side of cut i)."""
-    i = abs(letter)
-    return EDGE_INDEX["c%d+" % i] if letter > 0 else EDGE_INDEX["c%d-" % i]
-
-
-def reentry_edge(letter: int) -> int:
-    """Edge through which the strand re-enters after crossing ``letter``."""
-    i = abs(letter)
-    return EDGE_INDEX["c%d-" % i] if letter > 0 else EDGE_INDEX["c%d+" % i]
-
-
-def port_edge(port: str) -> int:
-    return EDGE_INDEX[port]
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,9 @@ import pytest
 
 from lanternbook import engine, geometry
 from lanternbook.classify import Classification, classify, match_ot_shape
-from lanternbook.engine import (IDENTITY_ACTION, LEFT, RIGHT, Arc, ArcAction,
-                                Model, RVReport, _canonical_sweep,
+from lanternbook.engine import (EDGE_CYCLE, IDENTITY_ACTION, LEFT, PORTS,
+                                RIGHT, Arc, ArcAction, Model, RVReport,
+                                _canonical_sweep,
                                 _equal_by_action,
                                 apply_twist, apply_word, arc_from_json,
                                 arc_to_json, certify_model,
@@ -24,7 +25,7 @@ from lanternbook.engine import (IDENTITY_ACTION, LEFT, RIGHT, Arc, ArcAction,
                                 side_at_start, witness_library)
 from lanternbook.errors import (InvariantViolation, MalformedArcError,
                                 PreconditionError, WordSyntaxError)
-from lanternbook.geometry import CURVE_POLYGONS, PORTS
+from lanternbook.geometry import CURVE_POLYGONS
 from lanternbook.invariant import SLOPES
 from lanternbook.lantern import (ReducedForm, expand, positive_factorization,
                                  reduce)
@@ -959,17 +960,16 @@ def test_extremal_continuations_are_the_ports_next_to_the_reentry_edge():
     # letter whose exit edge has the largest (smallest) counterclockwise
     # offset from the re-entry edge.  It is a port because the 12-gon
     # alternates cut sides and ports.
-    kinds = ["port" if name in PORTS else "cut"
-             for name in geometry.EDGE_CYCLE]
-    assert sorted(set(geometry.EDGE_CYCLE) - set(PORTS)) == \
+    kinds = ["port" if name in PORTS else "cut" for name in EDGE_CYCLE]
+    assert sorted(set(EDGE_CYCLE) - set(PORTS)) == \
         ["c1+", "c1-", "c2+", "c2-", "c3+", "c3-"]
     assert all(kinds[i] != kinds[i - 1] for i in range(12))
     letters = (1, -1, 2, -2, 3, -3)
     for y in letters:
-        entry = geometry.reentry_edge(y)
-        offsets = {("port", t): (geometry.port_edge(t) - entry) % 12
+        entry = engine._REENTRY[y]
+        offsets = {("port", t): (EDGE_CYCLE.index(t) - entry) % 12
                    for t in PORTS}
-        offsets.update({("letter", x): (geometry.exit_edge(x) - entry) % 12
+        offsets.update({("letter", x): (engine._EXIT[x] - entry) % 12
                         for x in letters if x != -y})
         assert sorted(offsets.values()) == list(range(1, 12)), y
         leftmost = max(offsets, key=offsets.get)
@@ -982,7 +982,7 @@ def test_side_rule_faults_are_invariant_violations(monkeypatch):
     # the prune would be unsound if a cut side had a neighbour that is not
     # a port; the tables are built through a check that refuses one
     with pytest.raises(InvariantViolation, match="not a port"):
-        engine._neighbour_port(geometry.EDGE_INDEX["c2+"])
+        engine._neighbour_port(EDGE_CYCLE.index("c2+"))
     # two divergent strands leaving through one edge: side_at_start names
     # both arcs in the fault
     edges = list(engine._EDGE_OF_PORT)

@@ -21,13 +21,13 @@ from hypothesis import strategies as st
 import lanternbook
 from lanternbook import engine
 from lanternbook import classify, classify_rules
-from lanternbook.engine import Model, get_model
+from lanternbook.engine import (PORT_TO_BOUNDARY, PORTS, Model,
+                                get_model)
 from lanternbook.errors import InvariantViolation, PreconditionError
 from lanternbook.invariant import (SLOPES, _certify_relations,
                                    _slope_product, coefficients,
                                    right_veering, twist_number)
 from lanternbook.lantern import ReducedForm, expand, reduce
-from lanternbook.geometry import PORT_TO_BOUNDARY, PORTS
 from lanternbook.words import (GENERATORS, INTERIOR, _canonical_class,
                                _exponent_sums, concat, exponent_class,
                                free_reduce, invert, merge_terms, parse,
