@@ -98,17 +98,20 @@ fully deterministic for a fixed input:
    common, and each hit is again certified by the exact side test;
 4. exhaustively search all arcs with at most ``bound`` crossings by
    depth-first extension of the crossing word, maintaining the reduced
-   image word incrementally.  One exact device keeps this tractable,
-   an order-interval prune.  The 12-gon alternates cut sides and ports,
-   so the leftmost and rightmost completed arcs below a node u are u
-   itself, ended at the two ports next to the re-entry edge of its last
-   letter (``_HI_PORT``, ``_LO_PORT``).  Images preserve the side order
-   (they come from a homeomorphism fixing the boundary; the model
-   certifies this at build time), so when the image of the leftmost is
-   not left of the rightmost, the subtree holds no witness.  The prune is
-   conservative, so exhausting the tree certifies "no witness up to
-   bound".  The search recurses once per crossing, which is why the bound
-   is capped at ``MAX_BOUND``.
+   image word incrementally in the action data's bytes.  One exact
+   device keeps this tractable, an order-interval prune.  The 12-gon
+   alternates cut sides and ports, so the leftmost and rightmost
+   completed arcs below a node u are u itself, ended at the two ports
+   next to the re-entry edge of its last letter (``_HI_PORT``,
+   ``_LO_PORT``).  Images preserve the side order (they come from a
+   homeomorphism fixing the boundary; the model certifies this at build
+   time), so when the image of the leftmost is not left of the
+   rightmost, the subtree holds no witness.  The prune is conservative,
+   so exhausting the tree certifies "no witness up to bound".  The
+   search recurses once per crossing, which is why the bound is capped
+   at ``MAX_BOUND``.  Its witness is refolded through the word term by
+   term, as the probe images its arcs, and certified by the exact side
+   test, so the check does not reuse the action the search walked.
 
 The reported witness is the first one found in the documented order:
 library probes first, then the one-crossing sweep (length-major, then
@@ -184,6 +187,11 @@ def _neighbour_port(edge):
 # the rightmost).
 _HI_PORT = {y: _neighbour_port(_REENTRY[y] - 1) for y in _LETTERS}
 _LO_PORT = {y: _neighbour_port(_REENTRY[y] + 1) for y in _LETTERS}
+# the letters as byte codes of the action data, in _LETTERS order, and the
+# four tables above keyed by them, for the depth-first search
+_CODES = b"aAbBcC"
+_BY_CODE = tuple({code: table[x] for code, x in zip(_CODES, _LETTERS)}
+                 for table in (_EXIT, _REENTRY, _HI_PORT, _LO_PORT))
 
 
 # ----------------------------------------------------------------------
@@ -209,6 +217,15 @@ def _inv(word):
 # a single arc under a word is folded in the same bytes: the arc is
 # encoded once, each twist rewrites its crossing word, and the result is
 # decoded once (``apply_word``).
+#
+# Seams cancel through one kernel.  Joining two reduced words cancels
+# the common suffix of the first and the inverse of the second, and
+# images share long stretches of letters, so a seam can run to thousands
+# of letters.  Short seams are compared one letter at a time; past
+# ``_SCAN`` letters ``_common_suffix`` gallops and then bisects over
+# slice comparisons, which run in C.  The joins of ``_cat_str``, the
+# segments of a deeply nested ``_reduce_str`` and the overlaps of the
+# depth-first search all go through it.
 # ----------------------------------------------------------------------
 
 _ENCODE = {1: 0x61, -1: 0x41, 2: 0x62, -2: 0x42, 3: 0x63, -3: 0x43}
@@ -228,31 +245,73 @@ def _inv_str(s):
     return s[::-1].swapcase()
 
 
+# Seam letters compared one at a time before the kernel takes over (a
+# kernel call costs about a 30-60 letter scan), and the bytes.replace
+# passes a reduction makes before it joins its digram-free segments.  A
+# pass undoes one level of nesting and a join level halves the segments.
+# The reductions of 3,000 probe-settled words nest at most three levels
+# deep (a fourth pass confirms); those of g^300 composed with itself
+# nest some 300.
+_SCAN = 64
+_PASSES = 4
+
+
+def _common_suffix(a, b, lo=0):
+    """The length of the longest common suffix of the sequences ``a`` and
+    ``b``, known to be at least ``lo``: gallop, then bisect, comparing
+    only the letters past the known suffix, as slices, which run in C.
+    Joining ``a`` to a word whose inverse is ``b`` cancels exactly this
+    many letters on each side."""
+    na, nb = len(a), len(b)
+    n = min(na, nb)
+    hi = n + 1                          # the least length known to differ
+    while hi - lo > 1:
+        k = min(2 * lo + 1, n) if hi > n else (lo + hi) // 2
+        if a[na - k:na - lo] == b[nb - k:nb - lo]:
+            lo = k
+        else:
+            hi = k
+    return lo
+
+
 def _reduce_str(s):
     """Freely reduce by deleting inverse digrams until none remain.
-    Each bytes.replace pass runs in C; the pass count is the deepest
-    cancellation nesting, which substitution seams keep small in
-    practice."""
-    while True:
+    Each bytes.replace pass runs in C and undoes one level of nesting.
+    A word still nested after ``_PASSES`` of them is cut between every
+    inverse pair into digram-free segments, which are joined pairwise at
+    their seams, so deep nesting costs a logarithmic number of copies."""
+    passes = _PASSES
+    while passes:
         n = len(s)
         for d in _DIGRAMS:
             if d in s:
                 s = s.replace(d, b"")
         if len(s) == n:
             return s
+        passes -= 1
+    for d in _DIGRAMS:
+        s = s.replace(d, d[:1] + b"|" + d[1:])
+    parts = s.split(b"|")
+    while len(parts) > 1:
+        parts = list(map(_cat_str, parts[::2], parts[1::2] + [b""]))
+    return parts[0]
 
 
 def _cat_str(a, b):
     """Concatenate two freely reduced byte strings, cancelling at the
-    seam (XOR 0x20 toggles ASCII case, i.e. inverts one letter)."""
+    seam (XOR 0x20 toggles ASCII case, i.e. inverts one letter): one
+    letter at a time up to ``_SCAN`` of them, then by the kernel."""
     if not a or not b:
         # most port correction words are empty; no seam to cancel
         return a + b
     i, j = len(a), 0
-    n = min(i, len(b))
+    n = min(i, len(b), _SCAN)
     while j < n and a[i - 1] == b[j] ^ 0x20:
         i -= 1
         j += 1
+    if j == _SCAN:
+        j = _common_suffix(a, _inv_str(b[:len(a)]), j)
+        i = len(a) - j
     return a[:i] + b[j:]
 
 
@@ -514,17 +573,18 @@ def _side_of(s, u, t_u, v, t_v):
         return EQUAL
     exit_u = _EXIT[u[k]] if k < len(u) else _EDGE_OF_PORT[t_u]
     exit_v = _EXIT[v[k]] if k < len(v) else _EDGE_OF_PORT[t_v]
-    return LEFT if _turns_left(s, u, k, exit_v, exit_u) else RIGHT
+    entry = _EDGE_OF_PORT[s] if k == 0 else _REENTRY[u[k - 1]]
+    return LEFT if _turns_left(entry, exit_v, exit_u) else RIGHT
 
 
-def _turns_left(s_idx, prefix, k, exit_a, exit_b):
-    """The side rule: two strands from port ``s_idx`` share the crossings
-    ``prefix[:k]``, then leave the 12-gon through edges ``exit_a`` and
-    ``exit_b``.  Whether the first passes left of the second, i.e. has the
-    larger counterclockwise offset from their common entry edge."""
+def _turns_left(entry, exit_a, exit_b):
+    """The side rule: two strands that share their crossings so far enter
+    the 12-gon through the edge ``entry`` (their start port's, or the
+    re-entry edge of their last shared crossing), then leave it through
+    edges ``exit_a`` and ``exit_b``.  Whether the first passes left of the
+    second, i.e. has the larger counterclockwise offset from ``entry``."""
     if exit_a == exit_b:
         raise InvariantViolation("divergent arcs share an exit edge")
-    entry = _EDGE_OF_PORT[s_idx] if k == 0 else _REENTRY[prefix[k - 1]]
     return (exit_a - entry) % 12 > (exit_b - entry) % 12
 
 
@@ -912,40 +972,52 @@ def _dfs_search(model, action, bound):
     """Exhaustive pruned search for a left witness with at most ``bound``
     crossings.  Returns the first witness in the documented depth-first
     order, or None after certifying the whole tree."""
+    # letters are the action data's byte codes (a letter's inverse is its
+    # code ^ 0x20): the crossing word u is a list of them, and the image
+    # word Q is bytes spliced from the action data, so that the kernel
+    # compares long seams in C
     PHI = {}
-    for i, p in enumerate(action.phi, start=1):
-        PHI[i] = _decode(p)
-        PHI[-i] = _inv(PHI[i])
-    W = [_decode(v) for v in action.w]
-    max_w = max((len(v) for v in W), default=0)
+    for code, image in zip(b"abc", action.phi):
+        PHI[code] = image
+        PHI[code ^ 0x20] = _inv_str(image)
+    W, W_inv = action.w, action.w_inv
+    max_w = max(map(len, W))
+    EXIT, REENTRY, HI_PORT, LO_PORT = _BY_CODE
+    scan = _SCAN
 
-    def overlap(stack, wt):
+    def seam(Q, inverse):
+        """The letters cancelled joining Q to the word whose inverse is
+        ``inverse``: one at a time up to _SCAN, then by the kernel."""
+        lq, li = len(Q) - 1, len(inverse) - 1
+        n = lq if lq < li else li
+        if n >= scan:
+            n = scan - 1
         j = 0
-        ls, lw = len(stack), len(wt)
-        while j < ls and j < lw and stack[ls - 1 - j] == -wt[j]:
+        while j <= n and Q[lq - j] == inverse[li - j]:
             j += 1
-        return j
+        return j if j < scan else _common_suffix(Q, inverse, j)
 
     def image_left(u, Q, len_common, s_idx, t_img, t_arc):
         """Whether the image of (s, u, t_img), whose crossing word is
         Q·W[t_img] freely reduced, lies left of (s, u, t_arc); False when
         equal.  Q and u share their first ``len_common`` letters."""
         wt = W[t_img]
-        p = overlap(Q, wt)
+        p = seam(Q, W_inv[t_img])
         keep = len(Q) - p       # the image word is Q[:keep] + wt[p:]
         len_u, len_img = len(u), len(Q) + len(wt) - 2 * p
-        j = min(len_common, keep)
+        j = len_common if len_common < keep else keep
         while j < len_u and j < len_img and \
                 (Q[j] if j < keep else wt[j - keep + p]) == u[j]:
             j += 1
         if j < len_img:
-            exit_img = _EXIT[Q[j] if j < keep else wt[j - keep + p]]
+            exit_img = EXIT[Q[j] if j < keep else wt[j - keep + p]]
         elif j == len_u and t_img == t_arc:
             return False
         else:
             exit_img = _EDGE_OF_PORT[t_img]
-        exit_arc = _EXIT[u[j]] if j < len_u else _EDGE_OF_PORT[t_arc]
-        return _turns_left(s_idx, u, j, exit_img, exit_arc)
+        exit_arc = EXIT[u[j]] if j < len_u else _EDGE_OF_PORT[t_arc]
+        entry = _EDGE_OF_PORT[s_idx] if j == 0 else REENTRY[u[j - 1]]
+        return _turns_left(entry, exit_img, exit_arc)
 
     def node(u, Q, len_common, rem, s_idx):
         """Explore the subtree rooted at crossing word ``u``: its first
@@ -956,47 +1028,42 @@ def _dfs_search(model, action, bound):
         if in_word and len_q - len_common > max_w:
             # image diverged inside the word for every completion: one
             # comparison decides them all
-            if _turns_left(s_idx, u, len_common, _EXIT[Q[len_common]],
-                           _EXIT[u[len_common]]):
-                return Arc(PORTS[s_idx], tuple(u), PORTS[0])
+            entry = (_EDGE_OF_PORT[s_idx] if len_common == 0
+                     else REENTRY[u[len_common - 1]])
+            if _turns_left(entry, EXIT[Q[len_common]], EXIT[u[len_common]]):
+                return Arc(PORTS[s_idx], _decode(u), PORTS[0])
         else:
             for t in range(6):
                 if image_left(u, Q, len_common, s_idx, t, t):
-                    return Arc(PORTS[s_idx], tuple(u), PORTS[t])
+                    return Arc(PORTS[s_idx], _decode(u), PORTS[t])
         # order-interval prune (module docstring, step 4): the image of
         # the leftmost completion is not left of the rightmost one
         if rem == 0 or (in_word and not image_left(
-                u, Q, len_common, s_idx, _HI_PORT[u[-1]], _LO_PORT[u[-1]])):
+                u, Q, len_common, s_idx, HI_PORT[u[-1]], LO_PORT[u[-1]])):
             return None
 
         last = u[-1] if u else 0
-        for x in _LETTERS:
-            if x == -last:
+        for x in _CODES:
+            if x == last ^ 0x20:
                 continue
-            px = PHI[x]
-            p = overlap(Q, px)
-            popped = Q[len_q - p:]
-            del Q[len_q - p:]
-            Q.extend(px[p:])
+            p = seam(Q, PHI[x ^ 0x20])
+            child = Q[:len_q - p] + PHI[x][p:]
             u.append(x)
-            lc = min(len_common, len_q - p)
-            nq = len(Q)
-            while lc < len_u + 1 and lc < nq and u[lc] == Q[lc]:
+            lc = len_q - p
+            if len_common < lc:
+                lc = len_common
+            nq = len(child)
+            while lc < len_u + 1 and lc < nq and u[lc] == child[lc]:
                 lc += 1
-            arc = node(u, Q, lc, rem - 1, s_idx)
+            arc = node(u, child, lc, rem - 1, s_idx)
             if arc is not None:
                 return arc
             u.pop()
-            del Q[len_q - p:]
-            Q.extend(popped)
         return None
 
     for s_idx in range(6):
-        arc = node([], list(_inv(W[s_idx])), 0, bound, s_idx)
+        arc = node([], W_inv[s_idx], 0, bound, s_idx)
         if arc is not None:
-            if side_at_start(arc, model.apply_action(action, arc)) != LEFT:
-                raise InvariantViolation("search produced a bad witness",
-                                         arc=str(arc))
             return arc
     return None
 
@@ -1018,9 +1085,15 @@ def _rv_search(terms, bound):
     if key in model._rv_cache:
         return model._rv_cache[key]
     action = model.word_action(terms)
-    # an Arc is always truthy
-    arc = (_canonical_sweep(action, min(1, bound))
-           or _dfs_search(model, action, bound))
+    arc = _canonical_sweep(action, min(1, bound))
+    if arc is None:
+        arc = _dfs_search(model, action, bound)
+        # refolded through the word, as the probe images its arcs, rather
+        # than through the action the search walked
+        if arc is not None and \
+                side_at_start(arc, model._fold(arc, terms)) != LEFT:
+            raise InvariantViolation("search produced a bad witness",
+                                     arc=str(arc))
     if len(model._rv_cache) >= 10000:
         model._rv_cache.clear()
     model._rv_cache[key] = arc

@@ -6,7 +6,8 @@ answered one must print its expected answer.
 The limits are set with ``resource.setrlimit`` in the child only
 (``preexec_fn``), so a regression ends in that child's ``MemoryError``
 or CPU signal and fails here instead of exhausting the machine.
-Runs without pytest too: ``PYTHONPATH=src python tests/test_corpus.py``.
+Runs without pytest too: ``PYTHONPATH=src python tests/test_corpus.py``,
+which also prints the CPU seconds of each answered row's child.
 """
 
 import os
@@ -38,15 +39,29 @@ REFUSED = (
     ["reduce", _MERGED],
     ["factorize", _MERGED],
     ["check-rv", "--format", "json", _MERGED],
+    # digits outside ASCII, and bounds below 1 and past MAX_BOUND
+    ["reduce", "e^\u0661\u0662"],
+    ["classify", "e^-\u0663"],
+    ["check-rv", "--bound", "0", "e"],
+    ["check-rv", "--bound", "801", "e"],
 )
 
 _WITNESS = ('NotRightVeering (boundary C1) witness {"start": ["C1", 0], '
             '"end": ["%s", 0], "crossings": []}\n')
-# long powers of one twist, each answered from its closed form
+_EMPTY_FORM = '{"r": [0, 0, 0, 0], "blocks": []}\n'
 ANSWERED = (
+    # long powers of one twist, each answered from its closed form
     (["check-rv", "e^-16000"], _WITNESS % "C3"),
     (["check-rv", "a^-100000"], _WITNESS % "C2"),
     (["check-rv", "e^-1000000"], _WITNESS % "C3"),
+    # a search whose long free-group seams the seam kernel cancels
+    (["check-rv", "g^-1 h^-3 g h^2 g"], "NoWitnessUpToBound (bound 12)\n"),
+    # empty and blank words, and the largest bound
+    (["reduce", ""], _EMPTY_FORM),
+    (["reduce", "   "], _EMPTY_FORM),
+    (["check-rv", ""], "NoWitnessUpToBound (bound 12)\n"),
+    (["check-rv", "--bound", "800", "a b c d e f"],
+     "NoWitnessUpToBound (bound 800)\n"),
 )
 
 
@@ -84,15 +99,32 @@ def test_hostile_command_lines_are_refused_within_the_limits():
             == [True], (row, err[-300:])
 
 
-def test_long_twist_powers_are_answered_within_the_limits():
+def _child_cpu():
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def check_answered():
+    """Run every answered row and check its answer: the rows with the
+    CPU seconds each child took."""
+    costs = []
     for i, (argv, expected) in enumerate(ANSWERED):
+        before = _child_cpu()
         code, out, err = run_limited(argv)
         row = _row(i, argv)
+        costs.append((row, _child_cpu() - before))
         assert (code, err) == (0, ""), (row, code, err[-300:])
         assert out == expected, (row, out[:300])
+    return costs
+
+
+def test_command_lines_are_answered_within_the_limits():
+    check_answered()
 
 
 if __name__ == "__main__":
     test_hostile_command_lines_are_refused_within_the_limits()
-    test_long_twist_powers_are_answered_within_the_limits()
+    costs = check_answered()
     print("resource corpus ok")
+    for (i, line), seconds in costs:
+        print("%6.2f s CPU  row %d: %s" % (seconds, i, line))

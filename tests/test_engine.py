@@ -585,6 +585,42 @@ def test_image_is_the_reduced_substitution_and_skips_fixed_letters():
                 assert image == _reduce_bytes(expected), (letter, exp, s)
 
 
+def _random_reduced_bytes(rng, n):
+    """A random freely reduced byte word of ``n`` letters."""
+    word = []
+    while len(word) < n:
+        ch = rng.choice(b"aAbBcC")
+        if not word or word[-1] != ch ^ 0x20:
+            word.append(ch)
+    return bytes(word)
+
+
+def test_seam_joins_match_a_naive_stack_reduction():
+    # planted seams of 0 to 3 x _SCAN letters, past which the seam kernel
+    # takes over, and words u . v . u^-1 whose cancellations nest len(u)
+    # levels deep, past the _PASSES replace passes
+    rng = random.Random(52)
+
+    def word(most):
+        return _random_reduced_bytes(rng, rng.randint(0, most))
+
+    scan = engine._SCAN
+    deep = 0
+    for _ in range(400):
+        seam = word(3 * scan)
+        a = _reduce_bytes(word(40) + seam)
+        b = _reduce_bytes(engine._inv_str(seam) + word(40))
+        assert engine._cat_str(a, b) == _reduce_bytes(a + b), (a, b)
+        parts = []
+        for _ in range(rng.randint(1, 4)):
+            u = word(3 * scan)
+            deep += len(u) > engine._PASSES
+            parts += [word(3), u, word(2), engine._inv_str(u)]
+        s = b"".join(parts)
+        assert engine._reduce_str(s) == _reduce_bytes(s), s
+    assert deep >= 500
+
+
 def _random_word(rng, max_terms=8, max_exp=4):
     terms = []
     for _ in range(rng.randint(0, max_terms)):
@@ -862,6 +898,52 @@ def test_only_searches_past_the_probe_are_memoized(monkeypatch):
     assert list(model._rv_cache) == [key]
 
 
+def test_a_depth_first_witness_is_refolded_through_the_word(monkeypatch):
+    # the witness of this word has 2 crossings, so the depth-first search
+    # finds it; the recheck folds it through the word's terms and never
+    # images it under the composite action the search walked
+    text = "a^4 b^4 c d^3 f e^-2 f^-2"
+    model = get_model()
+    model.ensure_library()
+    monkeypatch.setattr(model, "_rv_cache", {})
+
+    def unreachable(*args):
+        raise AssertionError("the witness was imaged by the composite action")
+
+    monkeypatch.setattr(Model, "apply_action", unreachable)
+    witness = is_right_veering_upto(text, 12).witness
+    assert len(witness.crossings) == 2
+    assert side_at_start(witness, apply_word(witness, text)) == LEFT
+
+
+def test_a_bad_depth_first_witness_is_a_fault(monkeypatch):
+    text = "a^4 b^4 c d^3 f e^-2 f^-2"
+    right = next(arc for arc in _small_arcs()
+                 if side_at_start(arc, apply_word(arc, text)) == RIGHT)
+    monkeypatch.setattr(get_model(), "_rv_cache", {})
+    monkeypatch.setattr(engine, "_dfs_search",
+                        lambda model, action, bound: right)
+    with pytest.raises(InvariantViolation, match="bad witness"):
+        is_right_veering_upto(text, 12)
+
+
+def test_long_seam_searches_keep_their_witnesses(monkeypatch):
+    # the action data of these words hold seams of thousands of letters,
+    # which the seam kernel cancels; the witnesses were computed with every
+    # seam cancelled one letter at a time
+    model = get_model()
+    monkeypatch.setattr(model, "_rv_cache", {})
+    pinned = {
+        "h^-3 f^3 h f^-2 h d^2": Arc("P1", (1,) * 8 + (3, -2, 1, 3), "P2b"),
+        "g^-2 e^-1 c h^3 f^-3 g": Arc("P1", (1,) * 10 + (-2, 3), "P2a"),
+        "g^-1 h^-3 g h^2 g": None,
+    }
+    for text, witness in pinned.items():
+        action = model.word_action(parse(text))
+        assert min(map(len, action.phi[1:])) > 3 * engine._SCAN, text
+        assert is_right_veering_upto(text, 12).witness == witness, text
+
+
 def _first_left_witness(model, action, depth):
     """Reference for the sweep: every arc in length-major, start port,
     crossing word, end port order, each image computed on its own."""
@@ -1014,6 +1096,8 @@ def test_deep_search_is_pruned_up_to_the_bound_cap(monkeypatch):
 
     monkeypatch.setattr(engine, "_turns_left", budgeted_rule)
     assert engine._dfs_search(model, action, engine.MAX_BOUND) is None
+    # the search decides every side through the one side rule
+    assert count[0] >= 200_000
 
 
 def test_conjugation_consistency_of_no_witness_answers():
@@ -1112,12 +1196,9 @@ def test_twist_powers_match_the_composition_of_their_tables():
 
 
 def test_twist_powers_obey_the_group_law():
-    # composing a power of g or h substitutes images whose cancellations
-    # nest as deep as the exponent, one reduction pass per level, so their
-    # exponents stay in the tens
     model = get_model()
+    n = 300
     for letter in GENERATORS:
-        n = 40 if letter in "gh" else 300
         for a, b in ((n, n // 2), (-n, n // 3), (n, -n // 2),
                      (-n * 5 // 6, -n), (n, -n)):
             assert engine._compose(model.piece_action(letter, a),
