@@ -61,10 +61,13 @@ the *right* of the other.  This offset comparison is a total order on
 arcs from a fixed start (lexicographic over the planar tree of reduced
 crossing words), which the witness search relies on.
 ``_turns_left`` states it once, and every comparison decides its
-divergence through it.  ``side_at_start`` checks that both arcs are
-canonical and calls the unchecked ``_side``, which reads the ports and
-calls ``_side_of`` on the raw data; the probe and the batteries call
-``_side``, and the sweeps ``_side_of``, on what they build themselves.
+divergence through it.  ``_side_of`` finds the divergence of two
+crossing words in the engine's one alphabet (bytes, see the action data
+below).  ``side_at_start`` checks that both arcs are canonical and
+encodes them for it.  The probe, the library build and the witness
+recheck call ``_moves_left`` on the image a fold returns, which faults
+on a backtrack; the order battery and the sweep call ``_side_of`` on the
+words they build themselves.
 
 **Witness search.**  ``is_right_veering_upto`` looks for an arc mapped to
 its own left at its start ("left witness").  The search is layered and
@@ -162,12 +165,18 @@ BOUNDARY_TO_PORT = {v: k for k, v in PORT_TO_BOUNDARY.items()}
 PORTS = tuple(PORT_TO_BOUNDARY)
 PORT_IDX = {p: i for i, p in enumerate(PORTS)}
 _EDGE_OF_PORT = tuple(map(EDGE_CYCLE.index, PORTS))
-_LETTERS = (1, -1, 2, -2, 3, -3)
+# Inside the engine a crossing word is bytes over a/A, b/B, c/C (action
+# data, below); an Arc holds the signed cut indices +-1, +-2, +-3, decoded
+# only where one is built.  _CODES lists the letters in the enumeration
+# order +1, -1, +2, -2, +3, -3.
+_ENCODE = {1: 0x61, -1: 0x41, 2: 0x62, -2: 0x42, 3: 0x63, -3: 0x43}
+_DECODE = {code: x for x, code in _ENCODE.items()}
+_CODES = bytes(_ENCODE.values())
 # 12-gon edge a strand leaves through when its next crossing is the
 # letter, and the edge it re-enters through, which the backtrack leaves by
-_EXIT = {x: EDGE_CYCLE.index("c%d%s" % (abs(x), "+" if x > 0 else "-"))
-         for x in _LETTERS}
-_REENTRY = {x: _EXIT[-x] for x in _LETTERS}
+_EXIT = {code: EDGE_CYCLE.index("c%d%s" % (abs(x), "+" if x > 0 else "-"))
+         for x, code in _ENCODE.items()}
+_REENTRY = {code: _EXIT[code ^ 0x20] for code in _CODES}
 
 
 def _neighbour_port(edge):
@@ -179,27 +188,14 @@ def _neighbour_port(edge):
 
 
 # Extremal continuations.  After the letter y a strand re-enters the
-# 12-gon through a cut side, the one the backtrack -y would leave
+# 12-gon through a cut side, the one the backtrack y ^ 0x20 would leave
 # through, so every legal letter and every port leaves at a ccw offset
 # 1..11.  The 12-gon alternates cut sides and ports, so both extremes are
 # ports: the one just clockwise of the re-entry edge (offset 11, the
 # leftmost continuation) and the one just counterclockwise (offset 1,
 # the rightmost).
-_HI_PORT = {y: _neighbour_port(_REENTRY[y] - 1) for y in _LETTERS}
-_LO_PORT = {y: _neighbour_port(_REENTRY[y] + 1) for y in _LETTERS}
-# the letters as byte codes of the action data, in _LETTERS order, and the
-# four tables above keyed by them, for the depth-first search
-_CODES = b"aAbBcC"
-_BY_CODE = tuple({code: table[x] for code, x in zip(_CODES, _LETTERS)}
-                 for table in (_EXIT, _REENTRY, _HI_PORT, _LO_PORT))
-
-
-# ----------------------------------------------------------------------
-# crossing words (tuples of signed cut indices)
-# ----------------------------------------------------------------------
-
-def _inv(word):
-    return tuple(-x for x in reversed(word))
+_HI_PORT = {y: _neighbour_port(_REENTRY[y] - 1) for y in _CODES}
+_LO_PORT = {y: _neighbour_port(_REENTRY[y] + 1) for y in _CODES}
 
 
 # ----------------------------------------------------------------------
@@ -215,8 +211,8 @@ def _inv(word):
 # with the twist count, so this is what keeps long-word action
 # composition (the equality oracle's workload) affordable.  The image of
 # a single arc under a word is folded in the same bytes: the arc is
-# encoded once, each twist rewrites its crossing word, and the result is
-# decoded once (``apply_word``).
+# encoded once and each twist rewrites its crossing word (``_step``); the
+# side tests read the result as it is, and ``apply_word`` decodes it.
 #
 # Seams cancel through one kernel.  Joining two reduced words cancels
 # the common suffix of the first and the inverse of the second, and
@@ -228,8 +224,6 @@ def _inv(word):
 # depth-first search all go through it.
 # ----------------------------------------------------------------------
 
-_ENCODE = {1: 0x61, -1: 0x41, 2: 0x62, -2: 0x42, 3: 0x63, -3: 0x43}
-_DECODE = {0x61: 1, 0x41: -1, 0x62: 2, 0x42: -2, 0x63: 3, 0x43: -3}
 _DIGRAMS = (b"aA", b"Aa", b"bB", b"Bb", b"cC", b"Cc")
 
 
@@ -284,8 +278,7 @@ def _reduce_str(s):
     while passes:
         n = len(s)
         for d in _DIGRAMS:
-            if d in s:
-                s = s.replace(d, b"")
+            s = s.replace(d, b"")
         if len(s) == n:
             return s
         passes -= 1
@@ -386,7 +379,8 @@ def _twist_action(spliced, k):
     for pieces in spliced:
         word = _reduce_str(_encode(pieces[0]))
         for (sign, loop), piece in zip(pieces[1::2], pieces[2::2]):
-            power = _encode(loop if k * sign > 0 else _inv(loop)) * abs(k)
+            loop = _encode(loop)
+            power = (loop if k * sign > 0 else _inv_str(loop)) * abs(k)
             word = _cat_str(_cat_str(word, power),
                             _reduce_str(_encode(piece)))
         words.append(word)
@@ -396,10 +390,10 @@ def _twist_action(spliced, k):
 
 
 # spot patterns of the port correction words of the positive a, e and f
-# twists, port by port in PORTS order: the cut that the word's one letter
-# crosses, 0 for an empty word, None for a port left unchecked
-_PORT_WORD_CUTS = {"a": (0, 1, 1, 1, 1, 1), "e": (0, 0, 0, 2, 2, 2),
-                   "f": (None,) * 5 + (0,)}
+# twists, port by port in PORTS order: the cuts the word crosses (its
+# letters, case folded), None for a port left unchecked
+_PORT_WORD_CUTS = {"a": (b"",) + (b"a",) * 5, "e": (b"",) * 3 + (b"b",) * 3,
+                   "f": (None,) * 5 + (b"",)}
 
 # word pairs (one positive twist per letter) that the invariant must
 # decide as the arc action does: the lantern relations, their reorderings,
@@ -443,7 +437,7 @@ def _checked_word(crossings):
                                 "%s" % shown(crossings)) from None
     reduced, prev = True, 0
     for x in word:
-        if type(x) is not int or x not in _EXIT:
+        if type(x) is not int or x not in _ENCODE:
             raise MalformedArcError("bad crossing letter %s" % shown(x))
         if x == -prev:
             reduced = False
@@ -462,7 +456,7 @@ def make_arc(start, crossings, end):
 
 def reverse(arc):
     """The same arc traversed from its other endpoint."""
-    return Arc(arc.end, _inv(arc.crossings), arc.start)
+    return Arc(arc.end, tuple(-x for x in reversed(arc.crossings)), arc.start)
 
 
 def arc_to_json(arc):
@@ -499,10 +493,10 @@ def arc_from_json(obj):
     return make_arc(start, word, end)
 
 
-def _require_canonical(arc, fault=PreconditionError):
+def _require_canonical(arc):
     """Refuse a non-arc, an unknown port or crossing letter, or crossings
     that are not a sequence of letters (``MalformedArcError``), or a
-    backtrack (``fault``: ``InvariantViolation`` for an engine-built arc)."""
+    backtrack (``PreconditionError``)."""
     try:
         known = arc.start in PORT_IDX and arc.end in PORT_IDX
         crossings = arc.crossings
@@ -514,20 +508,24 @@ def _require_canonical(arc, fault=PreconditionError):
         raise MalformedArcError("unknown port %s"
                                 % shown((arc.start, arc.end)))
     if not _checked_word(crossings)[1]:
-        raise fault("arc is not canonical: %s" % shown(arc))
+        raise PreconditionError("arc is not canonical: %s" % shown(arc))
 
 
-def _crossing_image(action, crossings):
-    """phi(u): the freely reduced image of a crossing word, as bytes."""
-    return _image(_encode(crossings), action.table)
+def _step(action, s, word, t):
+    """The crossing word  W_s^{-1} . phi(u) . W_t  of the image under
+    ``action`` of the arc from port index ``s`` to ``t`` whose encoded
+    crossing word is ``word`` (module docstring, twist action)."""
+    return _cat_str(_cat_str(action.w_inv[s], _image(word, action.table)),
+                    action.w[t])
 
 
-def _port_corrected(action, arc, image):
-    """The image of ``arc`` given ``image`` = phi(arc.crossings): the arc
-    from the same ports with crossing word  W_s^{-1} · phi(u) · W_t."""
-    word = _cat_str(_cat_str(action.w_inv[PORT_IDX[arc.start]], image),
-                    action.w[PORT_IDX[arc.end]])
-    return Arc(arc.start, _decode(word), arc.end)
+def _require_reduced(word, **details):
+    """Fault on a backtrack in a crossing word the engine built itself:
+    an ``InvariantViolation``, not a user error."""
+    for d in _DIGRAMS:
+        if word.find(d) >= 0:
+            raise InvariantViolation("engine-built crossing word has a "
+                                     "backtrack", word=word, **details)
 
 
 # ----------------------------------------------------------------------
@@ -545,27 +543,29 @@ def side_at_start(alpha, beta):
     """
     _require_canonical(alpha)
     _require_canonical(beta)
-    return _side(alpha, beta)
-
-
-def _side(alpha, beta):
-    """:func:`side_at_start` for arcs the engine built itself, canonical by
-    construction: the library arcs (certified when the library is built)
-    and the images a fold or a battery computes."""
     if alpha.start != beta.start:
         raise PreconditionError("arcs start on different ports")
     try:
-        return _side_of(PORT_IDX[alpha.start], alpha.crossings,
-                        PORT_IDX[alpha.end], beta.crossings,
+        return _side_of(PORT_IDX[alpha.start], _encode(alpha.crossings),
+                        PORT_IDX[alpha.end], _encode(beta.crossings),
                         PORT_IDX[beta.end])
     except InvariantViolation as exc:
         exc.details.update(alpha=str(alpha), beta=str(beta))
         raise
 
 
+def _moves_left(arc, image):
+    """Whether ``image``, the crossing word of the image of the canonical
+    ``arc`` that a fold returned, leaves to the arc's left.  A backtrack
+    in it is the engine's fault."""
+    _require_reduced(image, arc=str(arc))
+    s, t = PORT_IDX[arc.start], PORT_IDX[arc.end]
+    return _side_of(s, _encode(arc.crossings), t, image, t) == LEFT
+
+
 def _side_of(s, u, t_u, v, t_v):
-    """:func:`_side` on raw arc data: the side of the arc (s, u, t_u) that
-    the arc (s, v, t_v) leaves from, with the ports given as indices."""
+    """The side of the arc (s, u, t_u) that the arc (s, v, t_v) leaves
+    from, for encoded crossing words and port indices."""
     k = 0
     while k < len(u) and k < len(v) and u[k] == v[k]:
         k += 1
@@ -689,8 +689,7 @@ class Model:
                         "distinct generators act identically", pair=x + y)
         for letter, cuts in _PORT_WORD_CUTS.items():
             for word, cut in zip(self.tables[letter][0].w, cuts):
-                crossed = [abs(x) for x in _decode(word)]
-                if cut is not None and crossed != ([cut] if cut else []):
+                if cut is not None and word.lower() != cut:
                     raise InvariantViolation(
                         "%s-table correction words off-pattern" % letter)
         # every power is in closed form; its squares are those of the tables
@@ -723,21 +722,19 @@ class Model:
         return hit
 
     def apply_action(self, action, arc):
-        return _port_corrected(action, arc,
-                               _crossing_image(action, arc.crossings))
+        word = _step(action, PORT_IDX[arc.start], _encode(arc.crossings),
+                     PORT_IDX[arc.end])
+        return Arc(arc.start, _decode(word), arc.end)
 
     def _fold(self, arc, terms):
-        """The image of the canonical ``arc`` under the freely reduced
-        ``terms``.  The ports are fixed, so each term's step is
-        c <- W_s^{-1} . reduce(phi(c)) . W_t  on the encoded word c."""
+        """The encoded crossing word of the image of the canonical ``arc``
+        under the freely reduced ``terms``: the ports are fixed, so each
+        term takes one ``_step``."""
         s, t = PORT_IDX[arc.start], PORT_IDX[arc.end]
         word = _encode(arc.crossings)
         for letter, exp in terms:
-            action = self.piece_action(letter, exp)
-            word = _cat_str(_cat_str(action.w_inv[s],
-                                     _image(word, action.table)),
-                            action.w[t])
-        return Arc(arc.start, _decode(word), arc.end)
+            word = _step(self.piece_action(letter, exp), s, word, t)
+        return word
 
     # -- library ----------------------------------------------------------
 
@@ -773,23 +770,24 @@ class Model:
         words = [parse(w) for w in
                  ("e", "f", "g", "h^-1", "e^-1 f", "a b c d e^-1")]
         actions = [self.word_action(w) for w in words]
-        crossings = [(), (1,), (-1,), (2,), (-2, 3), (2, -3, 1)]
-        for start in ("P1", "P2b", "P4"):
-            arcs = [Arc(start, u, t) for u in crossings for t in PORTS]
-            # images[k][i]: the image of arcs[i] under actions[k]
-            images = [[self.apply_action(action, arc) for arc in arcs]
+        # (), (1,), (-1,), (2,), (-2, 3) and (2, -3, 1), encoded
+        crossings = [b"", b"a", b"A", b"b", b"Bc", b"bCa"]
+        for s in map(PORT_IDX.get, ("P1", "P2b", "P4")):
+            # arcs from s as (crossing word, end port); images[k][i]: the
+            # image of arcs[i] under actions[k], which fixes the ports
+            arcs = [(u, t) for u in crossings for t in range(6)]
+            images = [[(_step(action, s, u, t), t) for u, t in arcs]
                       for action in actions]
-            for arc in arcs + [im for row in images for im in row]:
-                _require_canonical(arc, InvariantViolation)
+            for u, t in arcs + [im for row in images for im in row]:
+                _require_reduced(u, start=PORTS[s], end=PORTS[t])
             for i, alpha in enumerate(arcs):
                 for j, beta in enumerate(arcs[i + 1:], start=i + 1):
-                    base = _side(alpha, beta)
+                    base = _side_of(s, *alpha, *beta)
                     for image in images:
-                        moved = _side(image[i], image[j])
-                        if moved != base:
+                        if _side_of(s, *image[i], *image[j]) != base:
                             raise InvariantViolation(
                                 "image does not preserve the side order",
-                                alpha=str(alpha), beta=str(beta))
+                                start=PORTS[s], alpha=alpha, beta=beta)
 
 
 _MODEL = None
@@ -827,7 +825,8 @@ def apply_word(arc, w):
     if isinstance(w, str):
         w = parse(w)
     _require_canonical(arc)
-    return get_model()._fold(arc, free_reduce(w))
+    word = get_model()._fold(arc, free_reduce(w))
+    return Arc(arc.start, _decode(word), arc.end)
 
 
 def _equal_by_action(w1, w2):
@@ -843,15 +842,15 @@ def _equal_by_action(w1, w2):
 # ----------------------------------------------------------------------
 
 def _iter_reduced_words(length):
-    """All freely reduced crossing words of exactly ``length`` letters, in
-    lexicographic order over the letter order +1, -1, +2, -2, +3, -3."""
+    """All freely reduced encoded crossing words of exactly ``length``
+    letters, in lexicographic order over the letter order ``_CODES``."""
     if length == 0:
-        yield ()
+        yield b""
         return
     for prefix in _iter_reduced_words(length - 1):
-        for x in _LETTERS:
-            if not prefix or x != -prefix[-1]:
-                yield prefix + (x,)
+        for x in _CODES:
+            if not prefix or x != prefix[-1] ^ 0x20:
+                yield prefix + bytes((x,))
 
 
 def _canonical_sweep(action, depth):
@@ -867,14 +866,15 @@ def _canonical_sweep(action, depth):
             for u in _iter_reduced_words(n):
                 image = images.get(u)
                 if image is None:
-                    image = images[u] = _crossing_image(action, u)
+                    image = images[u] = _image(u, action.table)
                 head = _cat_str(action.w_inv[s], image)
                 for t in range(6):
                     # _side_of reads v up to index len(u) only, and the
                     # cut image is as long as u only if the whole one is
-                    v = _decode(_cat_str(head, action.w[t])[:len(u) + 1])
+                    # (the cut also frees the whole one before the next)
+                    v = _cat_str(head, action.w[t])[:len(u) + 1]
                     if _side_of(s, u, t, v, t) == LEFT:
-                        return Arc(PORTS[s], u, PORTS[t])
+                        return Arc(PORTS[s], _decode(u), PORTS[t])
     return None
 
 
@@ -912,9 +912,7 @@ def _certify_library(model):
     arc to the arc's own left."""
     for entry in _LIBRARY:
         for pattern in entry.patterns:
-            img = model._fold(entry.arc, pattern)
-            _require_canonical(img, InvariantViolation)
-            if _side(entry.arc, img) != LEFT:
+            if not _moves_left(entry.arc, model._fold(entry.arc, pattern)):
                 raise InvariantViolation("library witness failed validation",
                                          name=entry.name)
 
@@ -963,7 +961,7 @@ def _probe(indices, terms):
     model.ensure_library()
     for i in indices:
         for arc in _PROBE_ARCS[i]:
-            if _side(arc, model._fold(arc, terms)) == LEFT:
+            if _moves_left(arc, model._fold(arc, terms)):
                 return arc
     return None
 
@@ -972,17 +970,15 @@ def _dfs_search(model, action, bound):
     """Exhaustive pruned search for a left witness with at most ``bound``
     crossings.  Returns the first witness in the documented depth-first
     order, or None after certifying the whole tree."""
-    # letters are the action data's byte codes (a letter's inverse is its
-    # code ^ 0x20): the crossing word u is a list of them, and the image
-    # word Q is bytes spliced from the action data, so that the kernel
-    # compares long seams in C
+    # the crossing word u is a list of letter codes, and the image word Q
+    # is bytes spliced from the action data, so that the kernel compares
+    # long seams in C
     PHI = {}
     for code, image in zip(b"abc", action.phi):
         PHI[code] = image
         PHI[code ^ 0x20] = _inv_str(image)
     W, W_inv = action.w, action.w_inv
     max_w = max(map(len, W))
-    EXIT, REENTRY, HI_PORT, LO_PORT = _BY_CODE
     scan = _SCAN
 
     def seam(Q, inverse):
@@ -1010,13 +1006,13 @@ def _dfs_search(model, action, bound):
                 (Q[j] if j < keep else wt[j - keep + p]) == u[j]:
             j += 1
         if j < len_img:
-            exit_img = EXIT[Q[j] if j < keep else wt[j - keep + p]]
+            exit_img = _EXIT[Q[j] if j < keep else wt[j - keep + p]]
         elif j == len_u and t_img == t_arc:
             return False
         else:
             exit_img = _EDGE_OF_PORT[t_img]
-        exit_arc = EXIT[u[j]] if j < len_u else _EDGE_OF_PORT[t_arc]
-        entry = _EDGE_OF_PORT[s_idx] if j == 0 else REENTRY[u[j - 1]]
+        exit_arc = _EXIT[u[j]] if j < len_u else _EDGE_OF_PORT[t_arc]
+        entry = _EDGE_OF_PORT[s_idx] if j == 0 else _REENTRY[u[j - 1]]
         return _turns_left(entry, exit_img, exit_arc)
 
     def node(u, Q, len_common, rem, s_idx):
@@ -1029,8 +1025,8 @@ def _dfs_search(model, action, bound):
             # image diverged inside the word for every completion: one
             # comparison decides them all
             entry = (_EDGE_OF_PORT[s_idx] if len_common == 0
-                     else REENTRY[u[len_common - 1]])
-            if _turns_left(entry, EXIT[Q[len_common]], EXIT[u[len_common]]):
+                     else _REENTRY[u[len_common - 1]])
+            if _turns_left(entry, _EXIT[Q[len_common]], _EXIT[u[len_common]]):
                 return Arc(PORTS[s_idx], _decode(u), PORTS[0])
         else:
             for t in range(6):
@@ -1039,7 +1035,7 @@ def _dfs_search(model, action, bound):
         # order-interval prune (module docstring, step 4): the image of
         # the leftmost completion is not left of the rightmost one
         if rem == 0 or (in_word and not image_left(
-                u, Q, len_common, s_idx, HI_PORT[u[-1]], LO_PORT[u[-1]])):
+                u, Q, len_common, s_idx, _HI_PORT[u[-1]], _LO_PORT[u[-1]])):
             return None
 
         last = u[-1] if u else 0
@@ -1090,8 +1086,7 @@ def _rv_search(terms, bound):
         arc = _dfs_search(model, action, bound)
         # refolded through the word, as the probe images its arcs, rather
         # than through the action the search walked
-        if arc is not None and \
-                side_at_start(arc, model._fold(arc, terms)) != LEFT:
+        if arc is not None and not _moves_left(arc, model._fold(arc, terms)):
             raise InvariantViolation("search produced a bad witness",
                                      arc=str(arc))
     if len(model._rv_cache) >= 10000:

@@ -98,39 +98,43 @@ def test_order_battery_compares_every_pair_under_every_action(monkeypatch):
     # arc and image is checked once, and each of the 3 x C(36, 2) = 1,890
     # pairs is compared before and after each word
     model = get_model()
-    calls = {"apply": 0, "check": 0, "side": 0}
-    true_apply = Model.apply_action
-    true_check, true_side = engine._require_canonical, engine._side
+    calls = {"step": 0, "check": 0, "side": 0}
+    true_step, true_check, true_side = \
+        engine._step, engine._require_reduced, engine._side_of
 
-    def counting_apply(self, action, arc):
-        calls["apply"] += 1
-        return true_apply(self, action, arc)
+    def counting_step(*args):
+        calls["step"] += 1
+        return true_step(*args)
 
-    def counting_check(arc, *fault):
+    def counting_check(word, **details):
         calls["check"] += 1
-        return true_check(arc, *fault)
+        return true_check(word, **details)
 
-    def counting_side(alpha, beta):
+    def counting_side(*args):
         calls["side"] += 1
-        return true_side(alpha, beta)
+        return true_side(*args)
 
-    monkeypatch.setattr(Model, "apply_action", counting_apply)
-    monkeypatch.setattr(engine, "_require_canonical", counting_check)
-    monkeypatch.setattr(engine, "_side", counting_side)
+    monkeypatch.setattr(engine, "_step", counting_step)
+    monkeypatch.setattr(engine, "_require_reduced", counting_check)
+    monkeypatch.setattr(engine, "_side_of", counting_side)
     model._certify_order_preservation()
-    assert calls == {"apply": 3 * 36 * 6, "check": 3 * 36 * 7,
+    assert calls == {"step": 3 * 36 * 6, "check": 3 * 36 * 7,
                      "side": 1890 * 7}
 
 
 def test_order_battery_catches_a_wrong_image(monkeypatch):
+    # the image of the arc P2b -(+1)-> P3a is replaced by that of the arc
+    # P2b -(+1)-> P4
     model = get_model()
-    true_apply = Model.apply_action
-    victim, stand_in = Arc("P2b", (1,), "P3a"), Arc("P2b", (1,), "P4")
+    true_step = engine._step
+    victim = (PORTS.index("P2b"), b"a", PORTS.index("P3a"))
 
-    def wrong_apply(self, action, arc):
-        return true_apply(self, action, stand_in if arc == victim else arc)
+    def wrong_step(action, s, word, t):
+        if (s, word, t) == victim:
+            t = PORTS.index("P4")
+        return true_step(action, s, word, t)
 
-    monkeypatch.setattr(Model, "apply_action", wrong_apply)
+    monkeypatch.setattr(engine, "_step", wrong_step)
     with pytest.raises(InvariantViolation, match="side order"):
         model._certify_order_preservation()
 
@@ -239,30 +243,26 @@ def _fault_anchors(monkeypatch):
     model.ensure_library()
 
 
-def _backtracked(arc):
-    return Arc(arc.start, arc.crossings + (1, -1), arc.end)
-
-
 def _fault_order_image_backtrack(monkeypatch):
     # an image with a backtrack is the engine's own fault, not a user error
-    true_apply = Model.apply_action
-    monkeypatch.setattr(Model, "apply_action", lambda self, action, arc:
-                        _backtracked(true_apply(self, action, arc)))
+    true_step = engine._step
+    monkeypatch.setattr(engine, "_step",
+                        lambda *args: true_step(*args) + b"aA")
     try:
         Model()._certify_order_preservation()
     except InvariantViolation as exc:
-        assert "arc is not canonical: Arc(" in str(exc)
+        assert "crossing word has a backtrack" in str(exc)
         raise
 
 
 def _fault_library_image_backtrack(monkeypatch):
     true_fold = Model._fold
     monkeypatch.setattr(Model, "_fold", lambda self, arc, terms:
-                        _backtracked(true_fold(self, arc, terms)))
+                        true_fold(self, arc, terms) + b"aA")
     try:
         engine._certify_library(Model())
     except InvariantViolation as exc:
-        assert "arc is not canonical: Arc(" in str(exc)
+        assert "crossing word has a backtrack" in str(exc)
         raise
 
 
@@ -301,9 +301,12 @@ def test_make_arc_rejects_garbage():
         make_arc("P1", [4], "P1")
     with pytest.raises(MalformedArcError):
         make_arc("P1", ["d1"], "P1")
-    for letter in (True, 1.0, 0):
+    # 97, 65 and 99 are the engine's own codes of +1, -1 and +2
+    for letter in (True, 1.0, 0, 97, 65, 99):
         with pytest.raises(MalformedArcError, match="bad crossing letter"):
             make_arc("P1", [letter], "P2a")
+    with pytest.raises(MalformedArcError, match="bad crossing letter"):
+        make_arc("P1", b"aA", "P2a")
     for crossings in (5, None):
         with pytest.raises(MalformedArcError, match="not a sequence"):
             make_arc("P1", crossings, "P1")
@@ -335,6 +338,11 @@ def test_arcs_built_directly_are_checked_at_every_entry_point():
              (Arc("P1", (True, 2.0), "P4"), MalformedArcError,
               "bad crossing letter"),
              (Arc("P1", (1, 2.0), "P4"), MalformedArcError,
+              "bad crossing letter"),
+             # the engine's encoding of (1,) and (1, -1) is no crossing word
+             (Arc("P1", (97,), "P2a"), MalformedArcError,
+              "bad crossing letter"),
+             (Arc("P1", b"aA", "P2a"), MalformedArcError,
               "bad crossing letter"),
              (Arc("P1", (1, -1), "P1"), PreconditionError, "not canonical"),
              (Arc("P1", 5, "P1"), MalformedArcError, "not a sequence"),
@@ -917,10 +925,21 @@ def test_a_depth_first_witness_is_refolded_through_the_word(monkeypatch):
 
 
 def test_a_bad_depth_first_witness_is_a_fault(monkeypatch):
+    # the recheck reads an image the engine folded itself, so a backtrack
+    # in it is an InvariantViolation (exit 2), not a refused input, as is
+    # a witness that does not move left
     text = "a^4 b^4 c d^3 f e^-2 f^-2"
     right = next(arc for arc in _small_arcs()
                  if side_at_start(arc, apply_word(arc, text)) == RIGHT)
     monkeypatch.setattr(get_model(), "_rv_cache", {})
+    # the depth-first witness has 2 crossings, the probed arcs none
+    true_fold = Model._fold
+    monkeypatch.setattr(Model, "_fold", lambda self, arc, terms:
+                        true_fold(self, arc, terms)
+                        + (b"aA" if arc.crossings else b""))
+    with pytest.raises(InvariantViolation, match="has a backtrack"):
+        is_right_veering_upto(text, 12)
+    monkeypatch.setattr(Model, "_fold", true_fold)
     monkeypatch.setattr(engine, "_dfs_search",
                         lambda model, action, bound: right)
     with pytest.raises(InvariantViolation, match="bad witness"):
@@ -989,11 +1008,14 @@ def _first_left_witness_depth_first(action, bound):
     def visit(s, u):
         image = images.get(u)
         if image is None:
-            image = images[u] = engine._crossing_image(action, u)
+            image = images[u] = engine._image(engine._encode(u),
+                                              action.table)
         for t in PORTS:
+            # the image of (s, u, t) crosses W_s^-1 . phi(u) . W_t
+            head = engine._cat_str(action.w_inv[PORTS.index(s)], image)
+            word = engine._cat_str(head, action.w[PORTS.index(t)])
             arc = Arc(s, u, t)
-            if side_at_start(arc, engine._port_corrected(action, arc,
-                                                         image)) == LEFT:
+            if side_at_start(arc, Arc(s, engine._decode(word), t)) == LEFT:
                 return arc
         if len(u) < bound:
             for x in (1, -1, 2, -2, 3, -3):
@@ -1042,22 +1064,31 @@ def test_extremal_continuations_are_the_ports_next_to_the_reentry_edge():
     # letter whose exit edge has the largest (smallest) counterclockwise
     # offset from the re-entry edge.  It is a port because the 12-gon
     # alternates cut sides and ports.
+    # Each letter's edges are read off the names of the 12-gon's cut sides
+    # (a strand crossing +i leaves through ci+ and re-enters through ci-),
+    # not off the tables under test.
     kinds = ["port" if name in PORTS else "cut" for name in EDGE_CYCLE]
     assert sorted(set(EDGE_CYCLE) - set(PORTS)) == \
         ["c1+", "c1-", "c2+", "c2-", "c3+", "c3-"]
     assert all(kinds[i] != kinds[i - 1] for i in range(12))
-    letters = (1, -1, 2, -2, 3, -3)
-    for y in letters:
-        entry = engine._REENTRY[y]
+    letters = dict(zip(b"aAbBcC", (1, -1, 2, -2, 3, -3)))
+
+    def exit_edge(x):
+        return EDGE_CYCLE.index("c%d%s" % (abs(x), "+" if x > 0 else "-"))
+
+    for code, y in letters.items():
+        entry = exit_edge(-y)
+        assert (engine._EXIT[code], engine._REENTRY[code]) == \
+            (exit_edge(y), entry), y
         offsets = {("port", t): (EDGE_CYCLE.index(t) - entry) % 12
                    for t in PORTS}
-        offsets.update({("letter", x): (engine._EXIT[x] - entry) % 12
-                        for x in letters if x != -y})
+        offsets.update({("letter", x): (exit_edge(x) - entry) % 12
+                        for x in letters.values() if x != -y})
         assert sorted(offsets.values()) == list(range(1, 12)), y
         leftmost = max(offsets, key=offsets.get)
         rightmost = min(offsets, key=offsets.get)
-        assert leftmost == ("port", PORTS[engine._HI_PORT[y]]), y
-        assert rightmost == ("port", PORTS[engine._LO_PORT[y]]), y
+        assert leftmost == ("port", PORTS[engine._HI_PORT[code]]), y
+        assert rightmost == ("port", PORTS[engine._LO_PORT[code]]), y
 
 
 def test_side_rule_faults_are_invariant_violations(monkeypatch):
