@@ -521,11 +521,12 @@ def _step(action, s, word, t):
 
 def _require_reduced(word, **details):
     """Fault on a backtrack in a crossing word the engine built itself:
-    an ``InvariantViolation``, not a user error."""
+    an ``InvariantViolation``, not a user error, with ``details`` as str."""
     for d in _DIGRAMS:
         if word.find(d) >= 0:
-            raise InvariantViolation("engine-built crossing word has a "
-                                     "backtrack", word=word, **details)
+            raise InvariantViolation(
+                "engine-built crossing word has a backtrack", word=word,
+                **{key: str(value) for key, value in details.items()})
 
 
 # ----------------------------------------------------------------------
@@ -558,7 +559,7 @@ def _moves_left(arc, image):
     """Whether ``image``, the crossing word of the image of the canonical
     ``arc`` that a fold returned, leaves to the arc's left.  A backtrack
     in it is the engine's fault."""
-    _require_reduced(image, arc=str(arc))
+    _require_reduced(image, arc=arc)
     s, t = PORT_IDX[arc.start], PORT_IDX[arc.end]
     return _side_of(s, _encode(arc.crossings), t, image, t) == LEFT
 
@@ -822,10 +823,8 @@ def apply_word(arc, w):
     on the encoded crossing word, and the image is decoded once (cheaper
     than materializing the composite action when only one image is
     needed)."""
-    if isinstance(w, str):
-        w = parse(w)
     _require_canonical(arc)
-    word = get_model()._fold(arc, free_reduce(w))
+    word = get_model()._fold(arc, free_reduce(_terms(w)))
     return Arc(arc.start, _decode(word), arc.end)
 
 
@@ -1124,8 +1123,7 @@ def is_right_veering_upto(w, bound=12):
     first found in the documented probe/sweep/depth-first order (module
     docstring); a no-witness answer certifies the whole bounded tree."""
     validate_bound(bound)
-    if isinstance(w, str):
-        w = parse(w)
+    w = _terms(w)
     return RVReport(bound, w, _rv_search(free_reduce(w), bound))
 
 

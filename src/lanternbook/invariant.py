@@ -7,16 +7,19 @@ that maps isomorphically onto the level-2 subgroup of PSL(2,Z), which is
 Gamma(2)/+-I (Farb-Margalit, *A Primer on Mapping Class Groups*,
 Ch. 2-3).  The twist about the curve of slope p/q acts by the matrix
 [[1-2pq, 2p^2], [-2q^2, 1+2pq]], with e = 1/0, f = 0/1, g = 1/1 and
-h = -1/1; boundary twists act trivially.  The F_2 factor is read off the
-product of twist matrices up to sign (:func:`_slope_product`), and the
-Z^4 factor then off the exponent class (the abelianization), so the pair
-is a complete invariant and :func:`equal_in_mcg` costs O(length) integer
-multiplies.  The slopes are stated once (:data:`SLOPES`) and checked at
-import against the lantern relations alone: both  g e f  and  h f e
-must be trivial in PSL(2,Z) (:func:`_certify_relations`), which fails
-if g's and h's slopes are swapped.  The arc engine
-(:mod:`lanternbook.engine`) certifies the invariant with these slopes
-against its geometric action whenever it builds its model.
+h = -1/1; boundary twists act trivially.  That matrix is I + 2N with
+N = (p, q)^T (-q, p), and N^2 = 0 gives (I + 2jN)(I + 2kN) = I + 2(j + k)N.
+The F_2 factor is read off the product of twist matrices up to sign, and
+the Z^4 factor then off the exponent class (the abelianization), so the
+pair is a complete invariant.  Both parts are homomorphisms, so
+:func:`_invariant` reads them in one checked pass over the unmerged
+terms and :func:`equal_in_mcg` costs O(length) integer multiplies.  The
+slopes are stated once (:data:`SLOPES`) and checked at import against
+the lantern relations alone: both  g e f  and  h f e  must be trivial in
+PSL(2,Z) (:func:`_certify_relations`), which fails if g's and h's slopes
+are swapped.  The arc engine (:mod:`lanternbook.engine`) certifies the
+invariant with these slopes against its geometric action whenever it
+builds its model.
 
 **Right-veering by trace.**  Gamma(2) is torsion-free and every trace in
 it is 2 mod 4, so the image M of the F_2 part of phi falls in one of
@@ -110,8 +113,9 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import InvariantViolation
-from .words import _canonical_class, merge_terms, parse
+from .errors import InvariantViolation, PreconditionError
+from .words import (GENERATORS, _checked, _class_of_sums, _not_terms,
+                    parse)
 
 SLOPES = {"e": (1, 0), "f": (0, 1), "g": (1, 1), "h": (-1, 1)}
 _IDENTITY_MATRIX = (1, 0, 0, 1)
@@ -120,22 +124,42 @@ _IDENTITY_MATRIX = (1, 0, 0, 1)
 _PASSES = 5
 
 
-def _slope_product(slopes, terms):
-    """Product of the twist matrices of ``terms`` (leftmost first) as a
-    row-major 4-tuple, sign-normalized so the first nonzero entry is
-    positive: the image in PSL(2,Z).  The twist about slope p/q is I + 2N
-    with N = [[-pq, p^2], [-q^2, pq]] nilpotent, so its k-th power is
-    I + 2kN.  Letters without a slope (boundary twists) act trivially."""
+def _table(slopes):
+    """Each generator's index in GENERATORS and slope (None: a boundary
+    twist, which acts trivially), for :func:`_invariant`."""
+    return {x: (i, slopes.get(x)) for i, x in enumerate(GENERATORS)}
+
+
+_TABLE = _table(SLOPES)
+
+
+def _invariant(slopes, terms):
+    """The complete invariant of the raw terms ``terms``, checked as
+    :func:`.words.merge_terms` checks them, in one pass: the slope matrix
+    product with its first nonzero entry positive, and the canonical
+    exponent class.  Zero exponents, adjacent runs and cancelling runs,
+    none merged, give the merged word's answer (module docstring)."""
+    table = _TABLE if slopes is SLOPES else _table(slopes)
+    sums = [0] * 8
     a, b, c, d = _IDENTITY_MATRIX
-    for letter, k in terms:
-        slope = slopes.get(letter)
-        if slope is None:
-            continue
-        p, q = slope
-        x, y = 1 - 2 * k * p * q, 2 * k * p * p
-        z, t = -2 * k * q * q, 1 + 2 * k * p * q
-        a, b, c, d = a * x + b * z, a * y + b * t, c * x + d * z, c * y + d * t
-    return (a, b, c, d) if a > 0 or (a == 0 and b > 0) else (-a, -b, -c, -d)
+    try:
+        for letter, k in terms:
+            if type(k) is not int or letter not in table:
+                _checked(((letter, k),))    # raises merge_terms' refusal
+            i, slope = table[letter]
+            sums[i] += k
+            if slope is not None:
+                # M (I + 2kN) = M + 2k (M (p, q)^T) (-q, p)
+                p, q = slope
+                x, y = 2 * k * (a * p + b * q), 2 * k * (c * p + d * q)
+                a, b, c, d = a - x * q, b + x * p, c - y * q, d + y * p
+    except PreconditionError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise _not_terms(exc) from None
+    if a < 0 or (a == 0 and b < 0):
+        a, b, c, d = -a, -b, -c, -d
+    return (a, b, c, d), _class_of_sums(sums)
 
 
 def _certify_relations(slopes):
@@ -143,7 +167,7 @@ def _certify_relations(slopes):
     lantern relations  g e f = a b c d  and  h f e = a b c d  hold in
     PSL(2,Z), where the boundary twists a b c d act trivially."""
     for relation in ("g e f", "h f e"):
-        if _slope_product(slopes, parse(relation)) != _IDENTITY_MATRIX:
+        if _invariant(slopes, parse(relation))[0] != _IDENTITY_MATRIX:
             raise InvariantViolation("lantern relation fails in PSL(2,Z)",
                                      relation=relation, slopes=str(slopes))
 
@@ -151,14 +175,8 @@ def _certify_relations(slopes):
 _certify_relations(SLOPES)
 
 
-def _invariant(slopes, terms):
-    """The complete invariant of the mapping class of the checked terms
-    ``terms``: its image in PSL(2,Z) and its canonical exponent class."""
-    return _slope_product(slopes, terms), _canonical_class(terms)
-
-
 def _terms(w):
-    return parse(w) if isinstance(w, str) else merge_terms(w)
+    return parse(w) if isinstance(w, str) else w
 
 
 def equal_in_mcg(w1, w2):
@@ -199,8 +217,8 @@ def coefficients(terms):
     ``m`` the power of gamma's twist for a reducible class, 0 for a
     product of boundary twists, ``None`` for a pseudo-Anosov class.  The
     formulas and their proof sketches are in the module docstring."""
-    a, b, c, d = _slope_product(SLOPES, terms)
-    r = _canonical_class(terms)[:4]
+    (a, b, c, d), canonical = _invariant(SLOPES, terms)
+    r = canonical[:4]
     if abs(a + d) > 2:
         tau = twist_number(terms)
         return tuple(x + tau for x in r), None

@@ -48,7 +48,7 @@ from __future__ import annotations
 import json
 
 from .errors import InvariantViolation, PreconditionError, shown, unprintable
-from .invariant import equal_in_mcg
+from .invariant import _terms, equal_in_mcg
 from .words import (BOUNDARY, Value, Word, _merge, concat, format_word,
                     free_reduce, invert, parse)
 
@@ -57,6 +57,9 @@ _H_POS = parse("a b c d e^-1 f^-1")
 # the lantern substitution of each letter and sign of its exponent
 _LANTERN = {("g", True): _G_POS, ("g", False): invert(_G_POS),
             ("h", True): _H_POS, ("h", False): invert(_H_POS)}
+# the most g and h letters (sum of |exponent|) a normal form substitutes:
+# ``reduce g^100000`` takes 0.37 s of CPU and 46 MB (Python 3.11.7, x86-64)
+GH_LIMIT = 100000
 
 
 class ReducedForm(Value):
@@ -141,10 +144,17 @@ def rf_from_json(doc) -> ReducedForm:
 
 def _substituted(terms):
     """Yield ``terms`` with every g^k and h^k written as |k| copies of
-    its lantern substitution (of the inverse when k < 0).  A malformed
-    term is passed on as it is, for the merge to refuse."""
+    its lantern substitution (of the inverse when k < 0).  A term that
+    takes the g and h letters past :data:`GH_LIMIT` is refused before any
+    copy; a malformed term is passed on as it is, for the merge to refuse."""
+    gh = 0
     for letter, exp in terms:
         if (letter == "g" or letter == "h") and type(exp) is int:
+            gh += abs(exp)
+            if gh > GH_LIMIT:
+                raise PreconditionError(
+                    "normal form too large: %s or more g and h letters to "
+                    "substitute, past the limit of %d" % (shown(gh), GH_LIMIT))
             yield from _LANTERN[letter, exp > 0] * abs(exp)
         else:
             yield letter, exp
@@ -154,7 +164,7 @@ def substitute_gh(w) -> Word:
     """Eliminate g and h through the lantern substitutions
     g = a b c d f^-1 e^-1, h = a b c d e^-1 f^-1; the result is freely
     reduced and has the same exponent class."""
-    return free_reduce(_substituted(parse(w) if isinstance(w, str) else w))
+    return free_reduce(_substituted(_terms(w)))
 
 
 def _pack(interior) -> tuple:
@@ -172,7 +182,7 @@ def reduce(w) -> ReducedForm:
     blocks.  The expansion of the result is equal to ``w`` in the
     mapping class group, and equal words get equal forms."""
     r = dict.fromkeys(BOUNDARY, 0)
-    interior = _merge(_substituted(parse(w) if isinstance(w, str) else w), r)
+    interior = _merge(_substituted(_terms(w)), r)
     return ReducedForm(tuple(r.values()), _pack(interior))
 
 
@@ -454,7 +464,8 @@ def positive_factorization(rf: ReducedForm):
             raise InvariantViolation("factorization is not positive",
                                      word=format_word(word), rule=rule)
         reference = _expanded(r, blocks)
-        candidate = concat(conjugator, word, invert(conjugator))
+        candidate = concat(conjugator, word, invert(conjugator)) \
+            if conjugator else word     # word is freely reduced already
         if candidate != reference and not equal_in_mcg(candidate, reference):
             raise InvariantViolation("factorization failed certification",
                                      word=format_word(word), rule=rule,

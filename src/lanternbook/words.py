@@ -89,9 +89,14 @@ def _merge(terms, central) -> Word:
         raise
     except (TypeError, ValueError) as exc:
         # unpacking a term that is not a pair, or hashing an odd letter
-        raise PreconditionError("not a list of (letter, exponent) terms: %s"
-                                % exc) from None
+        raise _not_terms(exc) from None
     return tuple(out)
+
+
+def _not_terms(exc) -> PreconditionError:
+    """The refusal of terms that are not (letter, exponent) pairs."""
+    return PreconditionError("not a list of (letter, exponent) terms: %s"
+                             % exc)
 
 
 def _checked(word) -> tuple:
@@ -101,8 +106,7 @@ def _checked(word) -> tuple:
     try:
         terms = tuple(word)
     except TypeError as exc:
-        raise PreconditionError("not a list of (letter, exponent) terms: %s"
-                                % exc) from None
+        raise _not_terms(exc) from None
     merge_terms(terms)
     return terms
 
@@ -282,13 +286,19 @@ def _exponent_sums(terms) -> tuple:
     return tuple(sums.values())
 
 
+def _class_of_sums(sums) -> tuple:
+    """The canonical tuple of :class:`ExponentVector` of the eight
+    exponent sums ``sums``, in :data:`GENERATORS` order."""
+    va, vb, vc, vd, ve, vf, vg, vh = sums
+    return (va + vg + vh, vb + vg + vh, vc + vg + vh, vd + vg + vh,
+            ve - vg - vh, vf - vg - vh)
+
+
 def _canonical_class(terms) -> tuple:
     """The canonical tuple of :func:`exponent_class` for terms that have
     already been checked (by :func:`merge_terms` or :func:`parse`), with
     no second pass to check them."""
-    va, vb, vc, vd, ve, vf, vg, vh = _exponent_sums(terms)
-    return (va + vg + vh, vb + vg + vh, vc + vg + vh, vd + vg + vh,
-            ve - vg - vh, vf - vg - vh)
+    return _class_of_sums(_exponent_sums(terms))
 
 
 def exponent_class(word) -> ExponentVector:

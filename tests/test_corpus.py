@@ -44,6 +44,10 @@ REFUSED = (
     ["classify", "e^-\u0663"],
     ["check-rv", "--bound", "0", "e"],
     ["check-rv", "--bound", "801", "e"],
+    # normal forms past the g/h letter limit, before their substitution
+    ["reduce", "g^1000000000"],
+    ["classify", "g^100000000"],
+    ["factorize", "h^-100000000"],
 )
 
 _WITNESS = ('NotRightVeering (boundary C1) witness {"start": ["C1", 0], '

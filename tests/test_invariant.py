@@ -24,9 +24,9 @@ from lanternbook import classify, classify_rules
 from lanternbook.engine import (PORT_TO_BOUNDARY, PORTS, Model,
                                 get_model)
 from lanternbook.errors import InvariantViolation, PreconditionError
-from lanternbook.invariant import (SLOPES, _certify_relations,
-                                   _slope_product, coefficients,
-                                   right_veering, twist_number)
+from lanternbook.invariant import (SLOPES, _certify_relations, _invariant,
+                                   coefficients, equal_in_mcg, right_veering,
+                                   twist_number)
 from lanternbook.lantern import ReducedForm, expand, reduce
 from lanternbook.words import (GENERATORS, INTERIOR, _canonical_class,
                                _exponent_sums, concat, exponent_class,
@@ -42,6 +42,21 @@ raw_terms = st.lists(
               st.integers(min_value=-6, max_value=6).filter(bool)),
     max_size=12)
 words = raw_terms.map(lambda ts: merge_terms(ts))
+
+
+def _merged_slope_product(slopes, terms):
+    """Reference for the PSL(2,Z) part of :func:`_invariant`: the product
+    of the twist matrices of the freely reduced ``terms``, one 2x2
+    multiply by [[1-2kpq, 2kp^2], [-2kq^2, 1+2kpq]] per term, up to sign."""
+    a, b, c, d = 1, 0, 0, 1
+    for letter, k in merge_terms(terms):
+        if letter not in slopes:
+            continue
+        p, q = slopes[letter]
+        x, y = 1 - 2 * k * p * q, 2 * k * p * p
+        z, t = -2 * k * q * q, 1 + 2 * k * p * q
+        a, b, c, d = a * x + b * z, a * y + b * t, c * x + d * z, c * y + d * t
+    return (a, b, c, d) if a > 0 or (a == 0 and b > 0) else (-a, -b, -c, -d)
 
 
 # -- the stated slopes -------------------------------------------------
@@ -198,7 +213,7 @@ _EXPONENTS = (-3, -2, -1, 1, 2, 3)
 
 
 def _is_pseudo_anosov(w):
-    a, _, _, d = _slope_product(SLOPES, w)
+    a, _, _, d = _merged_slope_product(SLOPES, w)
     return abs(a + d) > 2
 
 
@@ -328,7 +343,7 @@ def _reference_right_veering(terms):
     """Reference for :func:`right_veering`, computed without
     :func:`coefficients`: the FDTC as the boundary exponent sums plus the
     half-turns of the lift of the word's own twists, or the trace rule."""
-    a, b, c, d = _slope_product(SLOPES, terms)
+    a, b, c, d = _merged_slope_product(SLOPES, terms)
     if abs(a + d) > 2:
         steps = [(SLOPES[letter], k) for letter, k in reversed(terms)
                  if letter in SLOPES]
@@ -371,7 +386,7 @@ def test_right_veering_reads_the_reference_verdict_off_the_coefficients():
         c, m = coefficients(w)
         kind = ("pA" if m is None else "twists" if m == 0
                 else "gh" if c != _canonical_class(w)[:4] else "ef")
-        a, _, _, d = _slope_product(SLOPES, w)
+        a, _, _, d = _merged_slope_product(SLOPES, w)
         seen[kind, a + d == -2, verdict] += 1
     # every kind with both verdicts, reducible ones at trace -2 too
     for kind in ("pA", "twists", "gh", "ef"):
@@ -465,6 +480,63 @@ def test_rules_agree_with_the_invariant():
         for rule in ("trace", "FDTC"):
             assert tagged[label, family, rule] > 0, (label, family, rule)
     assert tagged["criterion 5", "R", "FDTC"] > 0
+
+
+# -- the one-pass kernel ----------------------------------------------------
+
+def _raw_terms(rng):
+    """A seeded raw term list over all eight letters, with zero
+    exponents, adjacent repeats of a letter, runs that cancel and
+    exponents up to +-10^6."""
+    exponents = (0, 1, -1, 2, -3, 5, 10 ** 6, -10 ** 6)
+    raw = []
+    for _ in range(rng.randint(0, 10)):
+        letter, k = rng.choice(GENERATORS), rng.choice(exponents)
+        raw.append((letter, k))
+        if rng.random() < 0.3:              # an adjacent repeat
+            raw.append((letter, rng.choice(exponents)))
+        if rng.random() < 0.2:              # a run that cancels
+            raw.append((letter, -k))
+    if rng.random() < 0.2:                  # the word times its inverse
+        raw += [(letter, -k) for letter, k in reversed(raw)]
+    return raw
+
+
+def test_the_one_pass_kernel_matches_the_merged_reference():
+    """The kernel reads the raw terms, unmerged, and must give the merged
+    word's slope product and canonical class, from a tuple and from a
+    one-shot iterator alike; the swapped slopes of the g/h pin test are
+    read too."""
+    flipped = dict(SLOPES, g=SLOPES["h"], h=SLOPES["g"])
+    rng = random.Random(20261021)
+    unmerged = 0
+    for _ in range(4000):
+        raw = _raw_terms(rng)
+        merged = merge_terms(raw)
+        unmerged += merged != tuple(raw)
+        for slopes in (SLOPES, flipped):
+            expected = (_merged_slope_product(slopes, raw),
+                        _canonical_class(merged))
+            assert _invariant(slopes, raw) == expected, raw
+            assert _invariant(slopes, iter(raw)) == expected, raw
+        assert equal_in_mcg(raw, merged) and equal_in_mcg(iter(raw), merged)
+    assert unmerged > 2000, unmerged
+
+
+@pytest.mark.parametrize("bad", [
+    5, None, [5], [("a", 1, 2)], [("a",)], [("x", 1)], [(["a"], 1)],
+    [("e", True)], [("e", 1.0)], [("e", "1")], [("e", 2), ("z", 1.0)],
+    [(["a"], 1.0)]])
+def test_the_kernel_refuses_what_merge_terms_refuses(bad):
+    with pytest.raises(PreconditionError) as expected:
+        merge_terms(bad)
+    one_shot = iter(bad) if isinstance(bad, list) else bad
+    for kernel in (lambda: _invariant(SLOPES, bad),
+                   lambda: _invariant(SLOPES, one_shot),
+                   lambda: equal_in_mcg(bad, ())):
+        with pytest.raises(PreconditionError) as refused:
+            kernel()
+        assert str(refused.value) == str(expected.value), bad
 
 
 # -- the import boundary --------------------------------------------------
