@@ -80,21 +80,21 @@ fully deterministic for a fixed input:
    is pseudo-Anosov, and their criterion decides it by the fractional
    Dehn twist coefficient (FDTC), an integer read off the slope matrices
    (proof sketches in :mod:`.invariant`).  A right-veering class has no
-   left witness at any bound, so the search ends with none; any other
-   class goes through the steps below, which find its witness when one
-   lies within the bound.  The rule runs between the two probe passes of
-   step 2, after the one that settles most words that are not
-   right-veering more cheaply;
+   left witness at any bound, so the search ends with none.  The rule
+   and the probe ranking of step 2 read one decision record, made in one
+   checked pass over the caller's terms (:func:`.invariant._invariant`).
+   The rule runs between the two probe passes of step 2, after the one
+   that settles most words that are not right-veering more cheaply;
 2. probe the witness library: nine stated 0-crossing arcs, one per
    family of the paper, each certified against its defining words when
-   the library is built.  Each entry is matched once against the word's
-   exponent sums (``_rank_library``): those that match are probed
-   before the rule, the rest after it, each pass in library order.
-   Every probe is verified by an exact side computation before being
-   reported.  The library is built only when a probe pass has a
-   candidate, and the model only then or when the class is not
-   right-veering, so a word that the rule of step 1 alone settles
-   builds neither;
+   the library is built.  Each entry is matched once against the
+   record's exponent sums (``_rank_library``): those that match are
+   probed before the rule, the rest after it, each pass in library
+   order.  Every probe is verified by an exact side computation.  The
+   word is freely reduced only before its first fold, and the model and
+   library are built only then or when the class is not right-veering,
+   so a word that the rule alone settles is never reduced and builds
+   neither;
 3. sweep every arc with at most one crossing (the reference enumeration
    order), applying the composite action directly; this settles almost
    every non-right-veering word cheaply because short witnesses are
@@ -145,9 +145,9 @@ from functools import cached_property
 
 from .errors import (InvariantViolation, MalformedArcError,
                      PreconditionError, shown)
-from .invariant import SLOPES, _invariant, _terms, right_veering
+from .invariant import SLOPES, _invariant, _right_veering, _terms
 from .invariant import equal_in_mcg  # noqa: F401  (re-exported)
-from .words import (BOUNDARY, GENERATORS, Value, _exponent_sums,
+from .words import (BOUNDARY, GENERATORS, Value, _class_of_sums,
                     format_word, free_reduce, parse)
 
 LEFT = "Left"
@@ -313,10 +313,10 @@ def _image(s, table):
     under a letter-to-word substitution (an ArcAction ``table``).  Letters
     are first renamed to private placeholders in one translate pass so the
     per-letter replace passes cannot re-substitute inside already-inserted
-    images.  A table with no pairs fixes every letter (the boundary twists
-    b, c and d), so ``s`` is returned as it is, with no reduction pass."""
+    images.  The empty word, and any word under a table with no pairs (the
+    boundary twists b, c and d), is returned as it is, with no reduction."""
     trans, pairs = table
-    if not pairs:
+    if not pairs or not s:
         return s
     s = s.translate(trans)
     for placeholder, image in pairs:
@@ -670,7 +670,9 @@ class Model:
         for pair in _PIN_CHECKS:
             t1, t2 = (tuple((x, 1) for x in w) for w in pair)
             by_action = self.word_action(t1) == self.word_action(t2)
-            if by_action != (_invariant(SLOPES, t1) == _invariant(SLOPES, t2)):
+            (m1, s1), (m2, s2) = (_invariant(SLOPES, t) for t in (t1, t2))
+            if by_action != (m1 == m2 and
+                             _class_of_sums(s1) == _class_of_sums(s2)):
                 raise InvariantViolation("slope invariant disagrees with the "
                                          "arc action", pair=pair,
                                          slopes=str(SLOPES))
@@ -729,12 +731,18 @@ class Model:
 
     def _fold(self, arc, terms):
         """The encoded crossing word of the image of the canonical ``arc``
-        under the freely reduced ``terms``: the ports are fixed, so each
-        term takes one ``_step``."""
+        under the freely reduced ``terms``: one ``_step`` per term, inlined
+        to join only the port corrections that are not empty (most are)."""
         s, t = PORT_IDX[arc.start], PORT_IDX[arc.end]
         word = _encode(arc.crossings)
-        for letter, exp in terms:
-            word = _step(self.piece_action(letter, exp), s, word, t)
+        cache = self._piece_cache
+        for term in terms:
+            action = cache.get(term) or self.piece_action(*term)
+            word = _image(word, action.table)
+            if action.w[s]:
+                word = _cat_str(action.w_inv[s], word)
+            if action.w[t]:
+                word = _cat_str(word, action.w[t])
         return word
 
     # -- library ----------------------------------------------------------
@@ -927,13 +935,12 @@ def witness_library():
 # witness search
 # ----------------------------------------------------------------------
 
-def _rank_library(terms):
+def _rank_library(sums):
     """The library indices of the two probe passes, in library order: the
-    entries whose kind the exponent sums of ``terms`` match, then the
-    rest.  A ``neg`` entry of C_k matches a negative sum of C_k's twist, a
-    ``zero`` one a zero sum there with e or f negative, and ``cross`` e
-    and f both negative."""
-    sums = _exponent_sums(terms)
+    entries whose kind the exponent sums ``sums`` (in GENERATORS order)
+    match, then the rest.  A ``neg`` entry of C_k matches a negative sum
+    of C_k's twist, a ``zero`` one a zero sum there with e or f negative,
+    and ``cross`` e and f both negative."""
     e, f = sums[4], sums[5]
     cheap, rest = [], []
     for i, entry in enumerate(_LIBRARY):
@@ -1065,27 +1072,30 @@ def _dfs_search(model, action, bound):
 
 def _rv_search(terms, bound):
     """The search of the module docstring: the first left witness of the
-    freely reduced ``terms`` within ``bound`` crossings, or None.  The
-    model is built only when a probe pass has a candidate or the class is
-    not right-veering; only the sweep and depth-first answers are memoized."""
-    cheap, rest = _rank_library(terms)
-    arc = _probe(cheap, terms)
-    if arc is not None or right_veering(terms)[0]:
+    raw ``terms`` (a tuple) within ``bound`` crossings, or None.  One
+    record ranks the probes and decides the rule, and the word is reduced
+    only before a fold; only the sweep and depth-first answers are memoized."""
+    record = _invariant(SLOPES, terms)
+    cheap, rest = _rank_library(record[1])
+    reduced = free_reduce(terms) if cheap else None
+    arc = _probe(cheap, reduced)
+    if arc is not None or _right_veering(terms, record)[0]:
         return arc
-    arc = _probe(rest, terms)
+    reduced = reduced or free_reduce(terms)
+    arc = _probe(rest, reduced)
     if arc is not None:
         return arc
     model = get_model()
-    key = (terms, bound)
+    key = (reduced, bound)
     if key in model._rv_cache:
         return model._rv_cache[key]
-    action = model.word_action(terms)
+    action = model.word_action(reduced)
     arc = _canonical_sweep(action, min(1, bound))
     if arc is None:
         arc = _dfs_search(model, action, bound)
         # refolded through the word, as the probe images its arcs, rather
         # than through the action the search walked
-        if arc is not None and not _moves_left(arc, model._fold(arc, terms)):
+        if arc is not None and not _moves_left(arc, model._fold(arc, reduced)):
             raise InvariantViolation("search produced a bad witness",
                                      arc=str(arc))
     if len(model._rv_cache) >= 10000:
@@ -1124,7 +1134,7 @@ def is_right_veering_upto(w, bound=12):
     docstring); a no-witness answer certifies the whole bounded tree."""
     validate_bound(bound)
     w = _terms(w)
-    return RVReport(bound, w, _rv_search(free_reduce(w), bound))
+    return RVReport(bound, w, _rv_search(w, bound))
 
 
 def certify_model():

@@ -94,6 +94,11 @@ c_k = r_k + tau(P).
   exactly one clockwise half-turn.  The same holds for h, so tau(P) is
   the count along the word's own twists minus its total g and h
   exponent, which the boundary part r holds instead.
+* The rule may read raw terms: the matrix and the sums are
+  homomorphisms, and the count depends only on the line's total lifted
+  displacement (the lifts of x^j and x^k compose to that of x^(j+k), all
+  fixing x's line), so zero exponents and split or cancelling runs do
+  not change tau, and the witness search need not reduce the word.
 
 The coefficient formula is the claim the tests check against the
 bounded witness search: the smallest right-veering r_k is 1 - tau(P),
@@ -134,10 +139,11 @@ _TABLE = _table(SLOPES)
 
 
 def _invariant(slopes, terms):
-    """The complete invariant of the raw terms ``terms``, checked as
+    """The decision record of the raw terms ``terms``, checked as
     :func:`.words.merge_terms` checks them, in one pass: the slope matrix
-    product with its first nonzero entry positive, and the canonical
-    exponent class.  Zero exponents, adjacent runs and cancelling runs,
+    product with its first nonzero entry positive, and the eight exponent
+    sums in :data:`GENERATORS` order (``_class_of_sums`` gives the
+    canonical class).  Zero exponents, adjacent runs and cancelling runs,
     none merged, give the merged word's answer (module docstring)."""
     table = _TABLE if slopes is SLOPES else _table(slopes)
     sums = [0] * 8
@@ -159,7 +165,7 @@ def _invariant(slopes, terms):
         raise _not_terms(exc) from None
     if a < 0 or (a == 0 and b < 0):
         a, b, c, d = -a, -b, -c, -d
-    return (a, b, c, d), _class_of_sums(sums)
+    return (a, b, c, d), sums
 
 
 def _certify_relations(slopes):
@@ -176,7 +182,11 @@ _certify_relations(SLOPES)
 
 
 def _terms(w):
-    return parse(w) if isinstance(w, str) else w
+    """Text parsed, or any other iterable of terms as a tuple, unchecked."""
+    try:
+        return parse(w) if isinstance(w, str) else tuple(w)
+    except TypeError as exc:
+        raise _not_terms(exc) from None
 
 
 def equal_in_mcg(w1, w2):
@@ -184,15 +194,13 @@ def equal_in_mcg(w1, w2):
     class group, decided by the complete invariant (twist-matrix product
     up to sign, exponent class) in O(length) integer multiplies; see the
     module docstring."""
-    return _invariant(SLOPES, _terms(w1)) == _invariant(SLOPES, _terms(w2))
+    m1, sums1 = _invariant(SLOPES, _terms(w1))
+    m2, sums2 = _invariant(SLOPES, _terms(w2))
+    return m1 == m2 and _class_of_sums(sums1) == _class_of_sums(sums2)
 
 
-def twist_number(terms):
-    """The translation number tau(P), in clockwise half-turns, of the
-    e/f part P of the checked terms ``terms``: the lift of P's slope
-    matrix to the universal cover of RP^1 that composes the lifts of its
-    twists (module docstring), g and h counted by their own twists less
-    their total exponent.  Exact when P's matrix is hyperbolic."""
+def _twist_number(terms, sums):
+    """:func:`twist_number` of ``terms``, whose exponent sums are ``sums``."""
     steps = [(SLOPES[letter], k) for letter, k in reversed(terms)
              if letter in SLOPES]
     x, y, wraps = 1, 0, 0           # the horizontal line, normalized
@@ -207,21 +215,25 @@ def twist_number(terms):
             if y < 0 or (y == 0 and x < 0):
                 x, y = -x, -y
                 wraps += 1 if k > 0 else -1
-    gh = sum(k for letter, k in terms if letter in "gh")
-    return round(wraps / _PASSES) - gh
+    return round(wraps / _PASSES) - sums[6] - sums[7]
 
 
-def coefficients(terms):
-    """The fractional Dehn twist coefficients of the mapping class of the
-    checked terms ``terms``, as ``(c, m)``: ``c`` the 4-tuple of c_k, and
-    ``m`` the power of gamma's twist for a reducible class, 0 for a
-    product of boundary twists, ``None`` for a pseudo-Anosov class.  The
-    formulas and their proof sketches are in the module docstring."""
-    (a, b, c, d), canonical = _invariant(SLOPES, terms)
-    r = canonical[:4]
+def twist_number(terms):
+    """The translation number tau(P), in clockwise half-turns, of the
+    e/f part P of the terms ``terms``: the lift of P's slope matrix to
+    the universal cover of RP^1 that composes the lifts of its twists
+    (module docstring), g and h counted by their own twists less their
+    total exponent.  Exact when P's matrix is hyperbolic."""
+    return _twist_number(terms, _invariant(SLOPES, terms)[1])
+
+
+def _coefficients(terms, record):
+    """:func:`coefficients` of ``terms``, whose record is ``record``."""
+    (a, b, c, d), sums = record
+    r = _class_of_sums(sums)[:4]
     if abs(a + d) > 2:
-        tau = twist_number(terms)
-        return tuple(x + tau for x in r), None
+        tau = _twist_number(terms, sums)
+        return tuple([x + tau for x in r]), None
     if b == c == 0:
         return r, 0
     if a + d < 0:
@@ -233,12 +245,26 @@ def coefficients(terms):
     return r, m
 
 
-def right_veering(terms):
-    """Whether the mapping class of the checked terms ``terms`` is
-    right-veering, with the rule that decided it: ``(verdict, "trace")``
-    for a trivial or reducible class (trace +-2), ``(verdict, "FDTC")``
-    for a pseudo-Anosov one, both read off :func:`coefficients`."""
-    c, m = coefficients(terms)
+def coefficients(terms):
+    """The fractional Dehn twist coefficients of the mapping class of the
+    terms ``terms``, as ``(c, m)``: ``c`` the 4-tuple of c_k, and ``m``
+    the power of gamma's twist for a reducible class, 0 for a product of
+    boundary twists, ``None`` for a pseudo-Anosov class.  The formulas
+    and their proof sketches are in the module docstring."""
+    return _coefficients(terms, _invariant(SLOPES, terms))
+
+
+def _right_veering(terms, record):
+    """:func:`right_veering` of ``terms``, whose record is ``record``."""
+    c, m = _coefficients(terms, record)
     if m is None:
         return min(c) >= 1, "FDTC"
     return min(c) >= 0 and (m >= 0 or min(c) > 0), "trace"
+
+
+def right_veering(terms):
+    """Whether the mapping class of the terms ``terms`` is right-veering,
+    with the rule that decided it: ``(verdict, "trace")`` for a trivial
+    or reducible class (trace +-2), ``(verdict, "FDTC")`` for a
+    pseudo-Anosov one, both read off :func:`coefficients`."""
+    return _right_veering(terms, _invariant(SLOPES, terms))

@@ -16,9 +16,7 @@ exponents and no two adjacent equal letters.  Each letter denotes the
 right (positive) Dehn twist along its curve; negative exponents are left
 twists.  **Composition order**: the leftmost term acts first, i.e. the
 word ``w1 w2`` means "apply w1, then w2".  Every function here that
-takes a word raises :class:`PreconditionError` on a malformed term; the
-underscored helpers used on the equality path skip that check for terms
-already checked by :func:`merge_terms` or :func:`parse`.
+takes a word raises :class:`PreconditionError` on a malformed term.
 
 The grammar accepted by :func:`parse`::
 
@@ -278,14 +276,6 @@ class ExponentVector(Value):
         return all(x == 0 for x in self.canonical)
 
 
-def _exponent_sums(terms) -> tuple:
-    """The exponent sum of each generator over checked ``terms``."""
-    sums = dict.fromkeys(GENERATORS, 0)
-    for letter, exp in terms:
-        sums[letter] += exp
-    return tuple(sums.values())
-
-
 def _class_of_sums(sums) -> tuple:
     """The canonical tuple of :class:`ExponentVector` of the eight
     exponent sums ``sums``, in :data:`GENERATORS` order."""
@@ -294,13 +284,17 @@ def _class_of_sums(sums) -> tuple:
             ve - vg - vh, vf - vg - vh)
 
 
-def _canonical_class(terms) -> tuple:
-    """The canonical tuple of :func:`exponent_class` for terms that have
-    already been checked (by :func:`merge_terms` or :func:`parse`), with
-    no second pass to check them."""
-    return _class_of_sums(_exponent_sums(terms))
-
-
 def exponent_class(word) -> ExponentVector:
-    """The abelianization of ``word`` modulo the lantern lattice."""
-    return ExponentVector(_canonical_class(_checked(word)))
+    """The abelianization of ``word`` modulo the lantern lattice, its
+    terms checked as :func:`merge_terms` checks them, in one pass."""
+    sums = dict.fromkeys(GENERATORS, 0)
+    try:
+        for letter, exp in word:
+            if type(exp) is not int or letter not in sums:
+                merge_terms(((letter, exp),))   # raises its refusal
+            sums[letter] += exp
+    except PreconditionError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise _not_terms(exc) from None
+    return ExponentVector(_class_of_sums(sums.values()))

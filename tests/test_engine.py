@@ -26,7 +26,7 @@ from lanternbook.engine import (EDGE_CYCLE, IDENTITY_ACTION, LEFT, PORTS,
 from lanternbook.errors import (InvariantViolation, MalformedArcError,
                                 PreconditionError, WordSyntaxError)
 from lanternbook.geometry import CURVE_POLYGONS
-from lanternbook.invariant import SLOPES
+from lanternbook.invariant import SLOPES, _invariant
 from lanternbook.lantern import (ReducedForm, expand, positive_factorization,
                                  reduce)
 from lanternbook.words import (BOUNDARY, INTERIOR, concat, exponent_class,
@@ -725,6 +725,50 @@ def test_rv_report_serialization():
                    "word": "e", "witness": None}
 
 
+def test_rv_report_holds_its_own_tuple_of_the_terms():
+    # a list, a tuple and a one-shot iterator of the same terms give equal,
+    # hashable reports; changing the caller's list afterwards changes none
+    for text in ("a b c d e^-1 f^-2", "e f", "a^2 b c d e^2 f^-3"):
+        terms = list(parse(text))
+        reports = [is_right_veering_upto(x, 12)
+                   for x in (terms, tuple(terms), iter(terms))]
+        terms.append(("e", -5))
+        assert len(set(reports)) == 1, text
+        assert reports[0].word == parse(text)
+        for report in reports:
+            assert report.to_json() == reports[0].to_json()
+            assert report.to_json()["word"] == text
+    with pytest.raises(PreconditionError) as expected:
+        merge_terms(5)
+    with pytest.raises(PreconditionError) as refused:
+        is_right_veering_upto(5, 12)
+    assert str(refused.value) == str(expected.value)
+
+
+def test_a_word_the_rule_settles_takes_one_checked_pass(monkeypatch):
+    # criterion-5 words: no probe candidate, and the rule settles them
+    # from one pass of the kernel, with the word never reduced and the
+    # model never asked for
+    calls = []
+    kernel = engine._invariant
+
+    def counted(slopes, terms):
+        calls.append(terms)
+        return kernel(slopes, terms)
+
+    def refused(*args):
+        raise AssertionError("called on a word the rule settles")
+
+    monkeypatch.setattr(engine, "_invariant", counted)
+    monkeypatch.setattr(engine, "free_reduce", refused)
+    monkeypatch.setattr(engine, "get_model", refused)
+    for text in ("a b c d e^-2", "a^2 b c d e^2 f^-3"):
+        del calls[:]
+        report = is_right_veering_upto(text, 12)
+        assert report.outcome == "NoWitnessUpToBound", text
+        assert calls == [parse(text)], text
+
+
 def _probe_score(entry, sums):
     """The three-valued score the probe ranked the library by, as a
     reference for ``engine._rank_library``: 0 for a ``neg`` or ``zero``
@@ -789,8 +833,8 @@ def test_probe_returns_the_ranking_loops_arc():
         for letter, exp in terms:
             sums[letter] = sums.get(letter, 0) + exp
         for want_cheap in (True, False):
-            arc = engine._probe(
-                engine._rank_library(terms)[not want_cheap], terms)
+            arc = engine._probe(engine._rank_library(
+                _invariant(SLOPES, terms)[1])[not want_cheap], terms)
             assert arc == _probe_by_ranking_loop(
                 model, terms, sums, want_cheap), (terms, want_cheap)
             hits[want_cheap] += arc is not None
@@ -807,11 +851,12 @@ def test_the_cheap_probe_pass_is_already_in_score_order():
         terms = tuple((x, k) for x, k in zip("abcdef", signs) if k)
         sums = dict(terms)
         scores = [_probe_score(entry, sums) for entry in engine._LIBRARY]
-        cheap, rest = engine._rank_library(terms)
+        cheap, rest = engine._rank_library(_invariant(SLOPES, terms)[1])
         assert cheap == sorted((i for i, score in enumerate(scores)
                                 if score < 2), key=lambda i: (scores[i], i))
         assert rest == [i for i, score in enumerate(scores) if score == 2]
-    assert engine._rank_library(()) == ([], list(range(9)))
+    assert engine._rank_library(_invariant(SLOPES, ())[1]) == \
+        ([], list(range(9)))
 
 
 def test_witness_library_entries_are_certified():
@@ -852,7 +897,8 @@ def test_pruned_search_matches_the_reference_sweep(monkeypatch):
             ("h f^-3 g e^-1", 2), ("g^-3 e h f^2", 2), ("a e^-1 f^2 e^2", 2)]
     model = get_model()
     monkeypatch.setattr(model, "_rv_cache", {})
-    monkeypatch.setattr(engine, "right_veering", lambda terms: (False, None))
+    monkeypatch.setattr(engine, "_right_veering",
+                        lambda terms, record: (False, None))
     searched = []
     true_dfs = engine._dfs_search
 

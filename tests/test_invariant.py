@@ -28,10 +28,9 @@ from lanternbook.invariant import (SLOPES, _certify_relations, _invariant,
                                    coefficients, equal_in_mcg, right_veering,
                                    twist_number)
 from lanternbook.lantern import ReducedForm, expand, reduce
-from lanternbook.words import (GENERATORS, INTERIOR, _canonical_class,
-                               _exponent_sums, concat, exponent_class,
-                               free_reduce, invert, merge_terms, parse,
-                               word_length)
+from lanternbook.words import (GENERATORS, INTERIOR, _class_of_sums,
+                               concat, exponent_class, free_reduce, invert,
+                               merge_terms, parse, word_length)
 from test_acceptance import _literal_h_tag, _random_form, _twist_shape_grid
 from witness_reference import naive_first_witness
 
@@ -57,6 +56,16 @@ def _merged_slope_product(slopes, terms):
         z, t = -2 * k * q * q, 1 + 2 * k * p * q
         a, b, c, d = a * x + b * z, a * y + b * t, c * x + d * z, c * y + d * t
     return (a, b, c, d) if a > 0 or (a == 0 and b > 0) else (-a, -b, -c, -d)
+
+
+def _exponent_sums(terms):
+    """Reference for the exponent sums of :func:`_invariant`: the sum of
+    each generator's exponents over the freely reduced ``terms``, in
+    GENERATORS order."""
+    sums = dict.fromkeys(GENERATORS, 0)
+    for letter, k in merge_terms(terms):
+        sums[letter] += k
+    return list(sums.values())
 
 
 # -- the stated slopes -------------------------------------------------
@@ -129,7 +138,8 @@ def test_trace_rule_agrees_with_the_witness_search(monkeypatch):
     model = get_model()
     model.ensure_library()
     monkeypatch.setattr(model, "_rv_cache", {})
-    monkeypatch.setattr(engine, "right_veering", lambda terms: (False, None))
+    monkeypatch.setattr(engine, "_right_veering",
+                        lambda terms, record: (False, None))
     rng = random.Random(20261018)
     seen = set()
     for _ in range(150):
@@ -250,7 +260,8 @@ def test_fdtc_threshold_matches_the_witness_search(monkeypatch):
     h as a b c d; the rule itself is patched out of the search."""
     model = get_model()
     monkeypatch.setattr(model, "_rv_cache", {})
-    monkeypatch.setattr(engine, "right_veering", lambda terms: (False, None))
+    monkeypatch.setattr(engine, "_right_veering",
+                        lambda terms, record: (False, None))
     rng = random.Random(20261119)
     taus = set()
     for i in range(24):
@@ -357,7 +368,7 @@ def _reference_right_veering(terms):
                     wraps += 1 if k > 0 else -1
         return min(_exponent_sums(terms)[:4]) + round(wraps / 5) >= 1, \
             "FDTC"
-    r = _canonical_class(terms)[:4]
+    r = exponent_class(terms).canonical[:4]
     if b == c == 0:
         return min(r) >= 0, "trace"
     if a + d < 0:
@@ -385,7 +396,8 @@ def test_right_veering_reads_the_reference_verdict_off_the_coefficients():
         # the kind of class: a g/h-orbit twist is the one that shifts c
         c, m = coefficients(w)
         kind = ("pA" if m is None else "twists" if m == 0
-                else "gh" if c != _canonical_class(w)[:4] else "ef")
+                else "gh" if c != exponent_class(w).canonical[:4]
+                else "ef")
         a, _, _, d = _merged_slope_product(SLOPES, w)
         seen[kind, a + d == -2, verdict] += 1
     # every kind with both verdicts, reducible ones at trace -2 too
@@ -504,9 +516,9 @@ def _raw_terms(rng):
 
 def test_the_one_pass_kernel_matches_the_merged_reference():
     """The kernel reads the raw terms, unmerged, and must give the merged
-    word's slope product and canonical class, from a tuple and from a
-    one-shot iterator alike; the swapped slopes of the g/h pin test are
-    read too."""
+    word's slope product, exponent sums and canonical class, from a tuple
+    and from a one-shot iterator alike; the swapped slopes of the g/h pin
+    test are read too."""
     flipped = dict(SLOPES, g=SLOPES["h"], h=SLOPES["g"])
     rng = random.Random(20261021)
     unmerged = 0
@@ -516,11 +528,66 @@ def test_the_one_pass_kernel_matches_the_merged_reference():
         unmerged += merged != tuple(raw)
         for slopes in (SLOPES, flipped):
             expected = (_merged_slope_product(slopes, raw),
-                        _canonical_class(merged))
+                        _exponent_sums(merged))
             assert _invariant(slopes, raw) == expected, raw
             assert _invariant(slopes, iter(raw)) == expected, raw
+            assert _class_of_sums(expected[1]) == \
+                exponent_class(merged).canonical, raw
         assert equal_in_mcg(raw, merged) and equal_in_mcg(iter(raw), merged)
     assert unmerged > 2000, unmerged
+
+
+def _raw_rule_terms(rng):
+    """A seeded raw term list over all eight letters with small exponents,
+    as the witness search hands it to the rule: zero exponents, runs split
+    in two (some around a boundary letter, so they merge only once the
+    boundary letters are pulled to the front), runs that cancel, and
+    boundary letters anywhere."""
+    raw = []
+    for _ in range(rng.randint(1, 6)):
+        letter, k = rng.choice(GENERATORS), rng.choice(_EXPONENTS)
+        roll = rng.random()
+        if roll < 0.3:                      # a split run
+            j = rng.randint(-3, 3)
+            raw.append((letter, j))
+            if rng.random() < 0.5:
+                raw.append((rng.choice("abcd"), rng.choice(_EXPONENTS)))
+            raw.append((letter, k - j))
+        elif roll < 0.45:                   # a run that cancels
+            raw += [(letter, k), (rng.choice(GENERATORS), 0), (letter, -k)]
+        else:
+            raw.append((letter, k))
+        if rng.random() < 0.2:              # a zero exponent
+            raw.append((rng.choice(GENERATORS), 0))
+    return raw
+
+
+def test_the_rule_reads_raw_terms_as_their_reduction():
+    """The witness search decides the rule on the caller's terms, before
+    any reduction: coefficients, verdict, twist number (of pseudo-Anosov
+    classes) and the probe ranking of 6,000 seeded raw term lists equal
+    those of their free reduction."""
+    rng = random.Random(20261020)
+    seen = collections.Counter()
+    for _ in range(6000):
+        raw = _raw_rule_terms(rng)
+        reduced = free_reduce(raw)
+        seen["unreduced"] += reduced != tuple(raw)
+        c, m = coefficients(raw)
+        assert (c, m) == coefficients(reduced), raw
+        verdict = right_veering(raw)
+        assert verdict == right_veering(reduced), raw
+        if m is None:
+            assert twist_number(raw) == twist_number(reduced), raw
+        sums = _invariant(SLOPES, raw)[1]
+        assert sums == _exponent_sums(reduced), raw
+        assert engine._rank_library(sums) == \
+            engine._rank_library(_exponent_sums(reduced)), raw
+        seen["pA" if m is None else "reducible", verdict[0]] += 1
+    assert seen["unreduced"] > 5000, seen
+    for kind in ("pA", "reducible"):
+        for verdict in (True, False):
+            assert seen[kind, verdict] > 100, seen
 
 
 @pytest.mark.parametrize("bad", [

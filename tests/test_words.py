@@ -244,3 +244,39 @@ def test_exponent_class_examples():
     for w1, w2 in pairs:
         assert hash(exponent_class(w1)) == hash(exponent_class(w2))
         assert len({exponent_class(w1), exponent_class(w2)}) == 1
+
+
+def _class_by_merge(terms):
+    """Reference for :func:`exponent_class`: the canonical tuple
+    (va+vg+vh, ..., vf-vg-vh) of the exponent sums of the merged word."""
+    v = dict.fromkeys(GENERATORS, 0)
+    for letter, k in merge_terms(terms):
+        v[letter] += k
+    gh = v["g"] + v["h"]
+    return tuple(v[x] + gh for x in "abcd") + (v["e"] - gh, v["f"] - gh)
+
+
+def test_exponent_class_reads_raw_terms_in_one_pass():
+    # zero exponents, repeats and cancelling runs, from a tuple and from a
+    # one-shot iterator alike
+    rng = random.Random(20261022)
+    for _ in range(3000):
+        raw = [(rng.choice(GENERATORS), rng.randint(-3, 3))
+               for _ in range(rng.randint(0, 10))]
+        tail = raw[rng.randint(0, len(raw)):]
+        raw += [(x, -k) for x, k in reversed(tail)]     # cancels the tail
+        expected = _class_by_merge(raw)
+        assert exponent_class(raw).canonical == expected, raw
+        assert exponent_class(iter(raw)).canonical == expected, raw
+
+
+@pytest.mark.parametrize("bad", [
+    5, None, [5], [("a", 1, 2)], [("a",)], [("x", 1)], [(["a"], 1)],
+    [("e", True)], [("e", 1.0)], [("e", "1")], [("e", 2), ("z", 1.0)],
+    [(["a"], 1.0)]])
+def test_exponent_class_refuses_what_merge_terms_refuses(bad):
+    with pytest.raises(PreconditionError) as expected:
+        merge_terms(bad)
+    with pytest.raises(PreconditionError) as refused:
+        exponent_class(bad)
+    assert str(refused.value) == str(expected.value), bad
