@@ -88,13 +88,13 @@ fully deterministic for a fixed input:
 2. probe the witness library: nine stated 0-crossing arcs, one per
    family of the paper, each certified against its defining words when
    the library is built.  Each entry is matched once against the
-   record's exponent sums (``_rank_library``): those that match are
-   probed before the rule, the rest after it, each pass in library
-   order.  Every probe is verified by an exact side computation.  The
-   word is freely reduced only before its first fold, and the model and
-   library are built only then or when the class is not right-veering,
-   so a word that the rule alone settles is never reduced and builds
-   neither;
+   record's exponent sums (``_rank_library``, at once when no entry can
+   match): those that match are probed before the rule, the rest after
+   it, each pass in library order.  Every probe is verified by an exact
+   side computation.  The word is freely reduced only before its first
+   fold, and the model and library are built only then or when the
+   class is not right-veering, so a word that the rule alone settles is
+   never reduced and builds neither;
 3. sweep every arc with at most one crossing (the reference enumeration
    order), applying the composite action directly; this settles almost
    every non-right-veering word cheaply because short witnesses are
@@ -912,6 +912,7 @@ _LIBRARY = tuple(
 # the candidates the probe tries for each entry, in order: its arc, then
 # the reversed arc (every arc's ends differ, so the two never coincide)
 _PROBE_ARCS = tuple((entry.arc, reverse(entry.arc)) for entry in _LIBRARY)
+_EVERY_ENTRY = list(range(len(_LIBRARY)))
 
 
 def _certify_library(model):
@@ -940,8 +941,11 @@ def _rank_library(sums):
     entries whose kind the exponent sums ``sums`` (in GENERATORS order)
     match, then the rest.  A ``neg`` entry of C_k matches a negative sum
     of C_k's twist, a ``zero`` one a zero sum there with e or f negative,
-    and ``cross`` e and f both negative."""
-    e, f = sums[4], sums[5]
+    and ``cross`` e and f both negative, so none matches when every
+    boundary sum is positive and e or f is not negative."""
+    a, b, c, d, e, f, _, _ = sums
+    if a > 0 and b > 0 and c > 0 and d > 0 and (e >= 0 or f >= 0):
+        return [], _EVERY_ENTRY[:]
     cheap, rest = [], []
     for i, entry in enumerate(_LIBRARY):
         kind = entry.kind

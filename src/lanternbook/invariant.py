@@ -75,16 +75,21 @@ c_k = r_k + tau(P).
 * tau(P) is an integer: M is hyperbolic, so it fixes a line, and the
   composite lift moves the lifts of that line by a whole number of
   half-turns.
-* The count is exact: for a lift F with translation number tau and any
-  x, |F^n(x) - x - n tau| < 1 (Ghys, "Groups acting on the circle",
-  Enseign. Math. 47, 2001).  :func:`twist_number` follows the
-  horizontal line through 5 passes of P and counts its crossings of the
-  horizontal line, which differ from its lifted displacement by less
-  than 1, so the count differs from 5 tau by less than 2 and rounds
-  exactly.  Each step is one term x^k, whose lift I + 2kN fixes the
-  line of x's curve and so turns every line by less than a half-turn:
-  a line crossed the horizontal one in that step exactly when its image
-  must be negated to stay in the upper half-plane.
+* One walk of P and the sign of one matrix entry give tau(P).
+  :func:`twist_number` follows the horizontal line once through P, one
+  step per term x^k, whose lift I + 2kN fixes x's line and so turns
+  every line by less than a half-turn: the line crossed the horizontal
+  one in that step exactly when its image must be negated to stay
+  normalized (y > 0, or y = 0 and x > 0).  So the walk counts ceil(D)
+  crossings, D the clockwise lifted displacement in half-turns, and
+  |D - tau| < 1 as |F^n(x) - x - n tau| < 1 for the composite lift F at
+  n = 1 (Ghys, "Groups acting on the circle", Enseign. Math. 47, 2001).
+  D != tau, or M would fix the horizontal line: c = 0, a = d = +-1 and
+  |tr M| = 2.  G = F - tau fixes the lifts of M's eigenlines and turns
+  every other line v by less than a half-turn, for tr M > 0
+  counterclockwise exactly when det(v, Mv) > 0, which is c at v = (1, 0)
+  for M = (a, b, c, d).  So tau is the count when c > 0 and one less
+  when c < 0, M taken with positive trace.
 * g and h are counted by their own twists, one step per term.  By the
   lantern relations  T_g = a b c d T_f^-1 T_e^-1, so the lift of T_g
   and the composite of the lifts of T_f^-1 and T_e^-1 cover the same
@@ -124,9 +129,6 @@ from .words import (GENERATORS, _checked, _class_of_sums, _not_terms,
 
 SLOPES = {"e": (1, 0), "f": (0, 1), "g": (1, 1), "h": (-1, 1)}
 _IDENTITY_MATRIX = (1, 0, 0, 1)
-# passes of the word in :func:`twist_number`: the count is within 2 of
-# _PASSES * tau, so it rounds exactly from 5 on
-_PASSES = 5
 
 
 def _table(slopes):
@@ -199,32 +201,33 @@ def equal_in_mcg(w1, w2):
     return m1 == m2 and _class_of_sums(sums1) == _class_of_sums(sums2)
 
 
-def _twist_number(terms, sums):
-    """:func:`twist_number` of ``terms``, whose exponent sums are ``sums``."""
-    steps = [(SLOPES[letter], k) for letter, k in reversed(terms)
-             if letter in SLOPES]
+def _twist_number(terms, record):
+    """:func:`twist_number` of the tuple ``terms`` with record ``record``."""
+    (a, _, c, d), sums = record
     x, y, wraps = 1, 0, 0           # the horizontal line, normalized
-    for _ in range(_PASSES):
-        for (p, q), k in steps:
+    for letter, k in reversed(terms):
+        if letter in SLOPES:
             # (I + 2kN)(x, y) with N = (p, q)^T (-q, p): the line moves
             # clockwise for k > 0, counterclockwise for k < 0, by less
             # than a half-turn; it crossed the horizontal line exactly
             # when it must be negated back to y > 0 (or y == 0, x > 0)
-            c = 2 * k * (p * y - q * x)
-            x, y = x + c * p, y + c * q
+            p, q = SLOPES[letter]
+            t = 2 * k * (p * y - q * x)
+            x, y = x + t * p, y + t * q
             if y < 0 or (y == 0 and x < 0):
                 x, y = -x, -y
                 wraps += 1 if k > 0 else -1
-    return round(wraps / _PASSES) - sums[6] - sums[7]
+    return wraps - ((c < 0) if a + d > 0 else (c > 0)) - sums[6] - sums[7]
 
 
 def twist_number(terms):
     """The translation number tau(P), in clockwise half-turns, of the
-    e/f part P of the terms ``terms``: the lift of P's slope matrix to
-    the universal cover of RP^1 that composes the lifts of its twists
-    (module docstring), g and h counted by their own twists less their
-    total exponent.  Exact when P's matrix is hyperbolic."""
-    return _twist_number(terms, _invariant(SLOPES, terms)[1])
+    e/f part P of the word ``terms`` (text or terms): the lift of P's
+    slope matrix to the universal cover of RP^1 that composes the lifts
+    of its twists (module docstring), g and h counted by their own twists
+    less their total exponent.  Exact when P's matrix is hyperbolic."""
+    terms = _terms(terms)
+    return _twist_number(terms, _invariant(SLOPES, terms))
 
 
 def _coefficients(terms, record):
@@ -232,7 +235,7 @@ def _coefficients(terms, record):
     (a, b, c, d), sums = record
     r = _class_of_sums(sums)[:4]
     if abs(a + d) > 2:
-        tau = _twist_number(terms, sums)
+        tau = _twist_number(terms, record)
         return tuple([x + tau for x in r]), None
     if b == c == 0:
         return r, 0
@@ -247,10 +250,11 @@ def _coefficients(terms, record):
 
 def coefficients(terms):
     """The fractional Dehn twist coefficients of the mapping class of the
-    terms ``terms``, as ``(c, m)``: ``c`` the 4-tuple of c_k, and ``m``
-    the power of gamma's twist for a reducible class, 0 for a product of
-    boundary twists, ``None`` for a pseudo-Anosov class.  The formulas
-    and their proof sketches are in the module docstring."""
+    word ``terms`` (text or terms), as ``(c, m)``: ``c`` the 4-tuple of
+    c_k, and ``m`` the power of gamma's twist for a reducible class, 0
+    for a product of boundary twists, ``None`` for a pseudo-Anosov class.
+    The formulas and their proof sketches are in the module docstring."""
+    terms = _terms(terms)
     return _coefficients(terms, _invariant(SLOPES, terms))
 
 
@@ -263,8 +267,9 @@ def _right_veering(terms, record):
 
 
 def right_veering(terms):
-    """Whether the mapping class of the terms ``terms`` is right-veering,
-    with the rule that decided it: ``(verdict, "trace")`` for a trivial
-    or reducible class (trace +-2), ``(verdict, "FDTC")`` for a
-    pseudo-Anosov one, both read off :func:`coefficients`."""
+    """Whether the mapping class of the word ``terms`` (text or terms) is
+    right-veering, with the rule that decided it: ``(verdict, "trace")``
+    for a trivial or reducible class (trace +-2), ``(verdict, "FDTC")``
+    for a pseudo-Anosov one, both read off :func:`coefficients`."""
+    terms = _terms(terms)
     return _right_veering(terms, _invariant(SLOPES, terms))

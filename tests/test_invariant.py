@@ -251,6 +251,76 @@ def test_twist_number_matches_the_unit_step_reference():
     assert checked > 1000
 
 
+def _twist_number_by_five_passes(terms):
+    """Reference for :func:`twist_number` on raw ``terms``: the horizontal
+    line followed through 5 passes of the word, one step per term, g and
+    h counted by their own twists less their total exponent.  The count
+    is within 2 of 5 tau (Ghys's bound at n = 5), so it rounds exactly."""
+    steps = [(SLOPES[letter], k) for letter, k in reversed(terms)
+             if letter in SLOPES]
+    x, y, wraps = 1, 0, 0
+    for _ in range(5):
+        for (p, q), k in steps:
+            t = 2 * k * (p * y - q * x)
+            x, y = x + t * p, y + t * q
+            if y < 0 or (y == 0 and x < 0):
+                x, y = -x, -y
+                wraps += 1 if k > 0 else -1
+    sums = _exponent_sums(terms)
+    return round(wraps / 5) - sums[6] - sums[7]
+
+
+def _long_raw_terms(rng):
+    """A seeded raw term list of 1-30 terms over all eight letters, with
+    zero exponents, and exponents up to +-10^6 in a fifth of the lists."""
+    big = rng.random() < 0.2
+    exponents = (0, 1, -1, 2, -2, 3, -3) + ((10 ** 6, -10 ** 6, 999, -4321)
+                                            if big else ())
+    return [(rng.choice(GENERATORS), rng.choice(exponents))
+            for _ in range(rng.randint(1, 30))]
+
+
+def _trace_two_terms(rng):
+    """A seeded raw term list whose slope matrix has trace +-2: boundary
+    twists around u^-1 x^m u (m = 0 for the identity), u of 0-6 raw
+    terms over e, f, g, h with exponents up to +-10^6."""
+    exponents = (0, 1, -1, 2, -3, 10 ** 6, -10 ** 6)
+    u = [(rng.choice("efgh"), rng.choice(exponents))
+         for _ in range(rng.randint(0, 6))]
+    twist = [(rng.choice("efgh"), rng.choice((0, 1, -1, 2, -5)))]
+    boundary = [(rng.choice("abcd"), rng.randint(-2, 2))
+                for _ in range(rng.randint(0, 3))]
+    inverse = [(letter, -k) for letter, k in reversed(u)]
+    return boundary[:1] + inverse + twist + boundary[1:2] + u + boundary[2:]
+
+
+def test_one_walk_and_the_sign_of_c_give_the_five_pass_twist_number():
+    """The one-walk count corrected by the sign of the matrix's c entry
+    against the five-pass reference: 5,000 seeded pseudo-Anosov raw term
+    lists, both corrections taken at least 1,000 times each and c never
+    0, and 3,000 raw term lists of trace +-2, whose public twist number
+    must not change either."""
+    rng = random.Random(20261120)
+    branches = collections.Counter()
+    while sum(branches.values()) < 5000:
+        raw = _long_raw_terms(rng)
+        (a, _, c, d), _ = _invariant(SLOPES, raw)
+        if abs(a + d) <= 2:
+            continue
+        assert c != 0, raw
+        branches[(c < 0) == (a + d > 0)] += 1
+        assert twist_number(raw) == _twist_number_by_five_passes(raw), raw
+    assert min(branches[True], branches[False]) >= 1000, branches
+    kinds = collections.Counter()
+    for _ in range(3000):
+        raw = _trace_two_terms(rng)
+        a, b, c, d = _invariant(SLOPES, raw)[0]
+        assert abs(a + d) == 2, raw
+        assert twist_number(raw) == _twist_number_by_five_passes(raw), raw
+        kinds["identity" if b == c == 0 else "parabolic"] += 1
+    assert kinds["identity"] >= 500 and kinds["parabolic"] >= 500, kinds
+
+
 def test_fdtc_threshold_matches_the_witness_search(monkeypatch):
     """Seeded pseudo-Anosov P, one boundary exponent varied with the
     other three at 2 - tau(P): the search without the rule at bound 5
@@ -588,6 +658,25 @@ def test_the_rule_reads_raw_terms_as_their_reduction():
     for kind in ("pA", "reducible"):
         for verdict in (True, False):
             assert seen[kind, verdict] > 100, seen
+
+
+def test_the_public_wrappers_read_any_iterable_and_text():
+    """coefficients, right_veering and twist_number give one answer for a
+    word as text, list, tuple and one-shot iterator, and refuse a
+    non-iterable with merge_terms' text."""
+    with pytest.raises(PreconditionError) as expected:
+        merge_terms(5)
+    for text in ("a e f^-1", "a b c d e^-2 f^-1", "e^-1 g^2 h f^2 b",
+                 "f g f^-1", "a b^2 c d", ""):
+        w = parse(text)
+        for wrapper in (coefficients, right_veering, twist_number):
+            answer = wrapper(w)
+            for form in (text, list(w), iter(w)):
+                assert wrapper(form) == answer, (wrapper, text, form)
+    for wrapper in (coefficients, right_veering, twist_number):
+        with pytest.raises(PreconditionError) as refused:
+            wrapper(5)
+        assert str(refused.value) == str(expected.value), wrapper
 
 
 @pytest.mark.parametrize("bad", [
