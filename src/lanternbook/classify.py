@@ -127,23 +127,22 @@ class Classification(Value):
         return doc
 
 
-def _tags(r, blocks, ot1_broad: bool):
+def _tags(r, blocks, ot1_broad: bool, shape=False):
     """Every tag whose rule the exponents (r, blocks) of a reduced form
     satisfy literally: the one statement of the rules in this module.
-    H1-H3 are mutually exclusive and H4 needs more blocks, so the
-    fillable tags are the single rule :func:`lantern._h_rule` finds,
-    if any."""
-    if type(ot1_broad) is not bool:
-        raise PreconditionError("ot1_broad is not a bool: %s"
-                                % shown(ot1_broad))
+    ``shape`` is the special shape of ``blocks`` (its (m, n) first) or
+    None, read here when it is False.  H1-H3 are mutually exclusive and
+    H4 needs more blocks, so the fillable tags are the single rule
+    :func:`lantern._h_rule` finds, if any."""
     rule = _h_rule(r, blocks)
     tags = [rule] if rule else []
-    shape = _shape(blocks)
+    if shape is False:
+        shape = _shape(blocks)
     if shape is None:
         if ot1_broad and min(r) < 0:
             tags.append("OT1")
         return tags
-    m, n, _ = shape
+    m, n = shape[0], shape[1]
     r1, r2, r3, r4 = r
     rmin = min(r)
     if rmin < 0:
@@ -161,8 +160,10 @@ def _tags(r, blocks, ot1_broad: bool):
     return tags
 
 
+# in precedence order, so the first of ordered tags gives the verdict
 _RULE_ORDER = ("OT1", "OT2", "OT3", "OT4",
                "H1", "H2", "H3", "H4", "R1", "R2")
+_FAMILIES = {"O": OVERTWISTED, "H": FILLABLE, "R": RIGHT_VEERING}
 
 
 def classify_rules(rf: ReducedForm, ot1_broad: bool = False) -> Classification:
@@ -170,19 +171,21 @@ def classify_rules(rf: ReducedForm, ot1_broad: bool = False) -> Classification:
     no mirror) and return all matching tags with the precedence verdict
     Overtwisted > Fillable > RightVeering > Unknown."""
     _require_form(rf)
-    tags = _tags(rf.r, rf.blocks, ot1_broad)
-    tags = tuple(t for t in _RULE_ORDER if t in tags)
+    _require_bool(ot1_broad)
+    tags = tuple(sorted(_tags(rf.r, rf.blocks, ot1_broad),
+                        key=_RULE_ORDER.index))
     return Classification(_verdict(tags), tags, 0, False, ot1_broad)
 
 
+def _require_bool(ot1_broad) -> None:
+    if type(ot1_broad) is not bool:
+        raise PreconditionError("ot1_broad is not a bool: %s"
+                                % shown(ot1_broad))
+
+
 def _verdict(tags):
-    if any(t.startswith("OT") for t in tags):
-        return OVERTWISTED
-    if any(t.startswith("H") for t in tags):
-        return FILLABLE
-    if any(t.startswith("R") for t in tags):
-        return RIGHT_VEERING
-    return UNKNOWN
+    """The verdict of ``tags`` in :data:`_RULE_ORDER`: its first tag's."""
+    return _FAMILIES[tags[0][0]] if tags else UNKNOWN
 
 
 def classify(rf: ReducedForm, ot1_broad: bool = False) -> Classification:
@@ -200,20 +203,25 @@ def classify(rf: ReducedForm, ot1_broad: bool = False) -> Classification:
     every candidate.  A form with no special shape has the tags of its
     mirror, which read only min r and the H4 cost (the argument is the
     one for long cores), so that mirror is skipped."""
+    _require_bool(ot1_broad)
     decisive = {}
     for k, r, blocks in _rotation_classes(rf):
-        for t in _tags(r, blocks, ot1_broad):
+        shape = _shape(blocks)
+        for t in _tags(r, blocks, ot1_broad, shape):
             decisive.setdefault(t, (k, False))
-        if _shape(blocks) is None:
+        if shape is None:
             continue
-        for t in _tags(*_mirrored(r, blocks), ot1_broad):
+        # the mirror swaps e with f, hence the shape's m with its n
+        mirror_shape = shape[1], shape[0]
+        for t in _tags(*_mirrored(r, blocks), ot1_broad, mirror_shape):
             decisive.setdefault(t, (k, True))
-    tags = tuple(t for t in _RULE_ORDER if t in decisive)
-    if any(t[0] == "H" for t in tags) and any(t[:2] == "OT" for t in tags):
+    if not decisive:
+        return Classification(UNKNOWN, (), 0, False, ot1_broad)
+    tags = tuple(sorted(decisive, key=_RULE_ORDER.index))
+    verdict = _verdict(tags)
+    if verdict == OVERTWISTED and any(t[0] == "H" for t in tags):
         raise InvariantViolation(
             "fillable and overtwisted tags on one conjugacy class",
             form=str(rf), tags=sorted(decisive))
-    verdict = _verdict(tags)
-    deciders = [decisive[t] for t in tags if _verdict((t,)) == verdict]
-    rotation, mirror = min(deciders) if deciders else (0, False)
+    rotation, mirror = min(decisive[t] for t in tags if t[0] == tags[0][0])
     return Classification(verdict, tags, rotation, mirror, ot1_broad)

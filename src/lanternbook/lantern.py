@@ -12,12 +12,16 @@ monodromy word is equal in the mapping class group to
     a^{r1} b^{r2} c^{r3} d^{r4} e^{m_1} f^{n_1} ... e^{m_s} f^{n_s}
 
 where only m_1 or n_s may vanish.  :class:`ReducedForm` stores the
-exponent data (r, blocks); :func:`reduce` computes it, :func:`expand`
-maps back to a word.  The reduced form is unique: two words are equal
-in the mapping class group exactly when their reduced forms coincide,
-because the boundary twists span a central Z^4 factor and e, f generate
-a free group, so the freely reduced e/f word is a normal form.  This is
-a tested property (``reduce(w1) == reduce(w2)`` iff ``equal_in_mcg``).
+exponent data (r, blocks) and :func:`expand` maps it back to a word.
+:func:`reduce` computes it in one merge: g^k adds k to each boundary
+exponent once and stands for (f^-1 e^-1)^k, or (e f)^-k when k < 0 (h
+for (e^-1 f^-1)^k or (f e)^-k), whose terms are merged one by one only
+while they cancel the runs before them; the rest is appended whole.
+The reduced form is unique: two words are equal in the mapping class
+group exactly when their reduced forms coincide, because the boundary
+twists span a central Z^4 factor and e, f generate a free group, so the
+freely reduced e/f word is a normal form.  This is a tested property
+(``reduce(w1) == reduce(w2)`` iff ``equal_in_mcg``).
 
 Conjugate monodromies carry the same contact-geometric labels, so the
 classifier merges its rules over every cyclic rotation of the interior
@@ -52,14 +56,15 @@ from .invariant import _terms, equal_in_mcg
 from .words import (BOUNDARY, Value, Word, _merge, concat, format_word,
                     free_reduce, invert, parse)
 
-_G_POS = parse("a b c d f^-1 e^-1")
-_H_POS = parse("a b c d e^-1 f^-1")
-# the lantern substitution of each letter and sign of its exponent
-_LANTERN = {("g", True): _G_POS, ("g", False): invert(_G_POS),
-            ("h", True): _H_POS, ("h", False): invert(_H_POS)}
+# the e/f part of the substitution of g^k and h^k for k < 0 and k > 0
+_PATTERNS = {"g": ((("e", 1), ("f", 1)), (("f", -1), ("e", -1))),
+             "h": ((("f", 1), ("e", 1)), (("e", -1), ("f", -1)))}
 # the most g and h letters (sum of |exponent|) a normal form substitutes:
-# ``reduce g^100000`` takes 0.37 s of CPU and 46 MB (Python 3.11.7, x86-64)
+# ``reduce g^100000`` takes 0.09 s of CPU and 32 MB (Python 3.11.7, x86-64)
 GH_LIMIT = 100000
+# the most core letters whose rotations are listed, one form each:
+# ``canonical_form`` of ``e^99999 f`` takes 0.77 s of CPU and 56 MB (ditto)
+CORE_LIMIT = 100000
 
 
 class ReducedForm(Value):
@@ -77,7 +82,7 @@ class ReducedForm(Value):
     def __init__(self, r, blocks):
         try:
             exps = tuple(r)
-            blocks = tuple((m, n) for m, n in blocks)
+            blocks = tuple([(m, n) for m, n in blocks])
         except (TypeError, ValueError) as exc:
             raise PreconditionError("malformed r or blocks: %s" % exc) \
                 from None
@@ -142,29 +147,13 @@ def rf_from_json(doc) -> ReducedForm:
         raise PreconditionError("not a reduced-form document: %s" % exc)
 
 
-def _substituted(terms):
-    """Yield ``terms`` with every g^k and h^k written as |k| copies of
-    its lantern substitution (of the inverse when k < 0).  A term that
-    takes the g and h letters past :data:`GH_LIMIT` is refused before any
-    copy; a malformed term is passed on as it is, for the merge to refuse."""
-    gh = 0
-    for letter, exp in terms:
-        if (letter == "g" or letter == "h") and type(exp) is int:
-            gh += abs(exp)
-            if gh > GH_LIMIT:
-                raise PreconditionError(
-                    "normal form too large: %s or more g and h letters to "
-                    "substitute, past the limit of %d" % (shown(gh), GH_LIMIT))
-            yield from _LANTERN[letter, exp > 0] * abs(exp)
-        else:
-            yield letter, exp
-
-
 def substitute_gh(w) -> Word:
     """Eliminate g and h through the lantern substitutions
     g = a b c d f^-1 e^-1, h = a b c d e^-1 f^-1; the result is freely
-    reduced and has the same exponent class."""
-    return free_reduce(_substituted(_terms(w)))
+    reduced and has the same exponent class: the expansion of
+    :func:`reduce`."""
+    rf = reduce(w)
+    return _expanded(rf.r, rf.blocks)
 
 
 def _pack(interior) -> tuple:
@@ -182,14 +171,20 @@ def reduce(w) -> ReducedForm:
     blocks.  The expansion of the result is equal to ``w`` in the
     mapping class group, and equal words get equal forms."""
     r = dict.fromkeys(BOUNDARY, 0)
-    interior = _merge(_substituted(_terms(w)), r)
+    interior = _merge(_terms(w), r, _PATTERNS, GH_LIMIT)
     return ReducedForm(tuple(r.values()), _pack(interior))
 
 
 def _runs(blocks) -> list:
     """The interior ``blocks`` as alternating (letter, exponent) runs
     with nonzero exponents: the e/f terms of :func:`expand`."""
-    return [t for m, n in blocks for t in (("e", m), ("f", n)) if t[1]]
+    runs = []
+    for m, n in blocks:
+        if m:
+            runs.append(("e", m))
+        if n:
+            runs.append(("f", n))
+    return runs
 
 
 def _expanded(r, blocks) -> Word:
@@ -261,8 +256,14 @@ def cyclic_rotations(rf: ReducedForm):
     returned list has exactly this list as its own rotations; the list
     is a conjugacy-class invariant, which is what makes merged
     classification consistent across conjugates.  A pure boundary word
-    has itself as the only rotation."""
+    has itself as the only rotation.  A core of more than
+    :data:`CORE_LIMIT` letters is refused before any rotation is made."""
     prefix, core = _peel(rf)
+    size = sum(abs(exp) for _, exp in core)
+    if size > CORE_LIMIT:
+        raise PreconditionError("too many rotations: a core of %s letters, "
+                                "past the limit of %d" % (shown(size),
+                                                          CORE_LIMIT))
     first = ReducedForm(rf.r, _pack(core)) if prefix else rf
     if len(core) <= 1:      # every rotation of one run is the run itself
         return [first] * (abs(core[0][1]) if core else 1)
@@ -345,18 +346,21 @@ def canonical_form(rf: ReducedForm) -> ReducedForm:
 
 
 def _mirrored(r, blocks):
-    """:func:`mirror_ef` on the exponent tuples of a reduced form."""
+    """:func:`mirror_ef` on the exponent tuples of a reduced form: the
+    exponents of f^m1 e^n1 ... f^ms e^ns, packed."""
     r1, r2, r3, r4 = r
-    swapped = [("f" if letter == "e" else "e", exp)
-               for letter, exp in _runs(blocks)]
-    return (r3, r2, r1, r4), _pack(swapped)
+    exps = [0]
+    for block in blocks:
+        exps += block
+    exps.append(0)
+    exps = exps[2 * (exps[1] == 0):len(exps) - 2 * (exps[-2] == 0)]
+    return (r3, r2, r1, r4), tuple(zip(exps[::2], exps[1::2]))
 
 
 def mirror_ef(rf: ReducedForm) -> ReducedForm:
     """The reduced form of the image under the half-turn symmetry that
     exchanges e with f (and relabels the boundary a <-> c, fixing b and
-    d, hence r -> (r3, r2, r1, r4)).  Swapping the letters of the runs
-    keeps them alternating, so they are repacked without reduction."""
+    d, hence r -> (r3, r2, r1, r4)); no reduction is needed."""
     _require_form(rf)
     return ReducedForm(*_mirrored(rf.r, rf.blocks))
 
@@ -400,8 +404,13 @@ def _rule_and_cost(blocks):
     H3, which also conjugates by f, saves two."""
     m1, n1 = blocks[0]
     if len(blocks) > 1 or max(m1, n1) >= 0:
-        rule = "H4" if len(blocks) > 1 else "H1"
-        return rule, -sum(x for block in blocks for x in block if x < 0)
+        cost = 0
+        for m, n in blocks:
+            if m < 0:
+                cost -= m
+            if n < 0:
+                cost -= n
+        return "H4" if len(blocks) > 1 else "H1", cost
     if max(m1, n1) == -1:
         return "H2", -m1 - n1 - 1
     return "H3", -m1 - n1 - 2

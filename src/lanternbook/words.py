@@ -60,12 +60,17 @@ def merge_terms(terms) -> Word:
     return _merge(terms, {})
 
 
-def _merge(terms, central) -> Word:
+def _merge(terms, central, patterns=None, limit=0) -> Word:
     """:func:`merge_terms`, except that the exponents of the letters keyed
     in the dict ``central`` are added to it instead of merged: they commute
     with every term, so the other terms then merge as if they were gone.
-    One checked pass over ``terms``."""
+    One checked pass over ``terms``.  ``patterns`` maps g and h to the e/f
+    parts of their substitutions for k < 0 and k > 0 (see
+    :mod:`lanternbook.lantern`): x^k adds k to every sum of ``central``
+    and stands for |k| copies of its pattern, the word's g and h letters
+    refused past ``limit`` before any copy is made."""
     out: list[Term] = []
+    count = 0
     try:
         for letter, exp in terms:
             if letter not in _GENERATOR_SET:
@@ -75,14 +80,36 @@ def _merge(terms, central) -> Word:
                                         % (letter, shown(exp)))
             if letter in central:
                 central[letter] += exp
-            elif out and out[-1][0] == letter:
+                continue
+            rest = None
+            if patterns and letter in patterns:
+                count += abs(exp)
+                if count > limit:
+                    raise PreconditionError(
+                        "normal form too large: %s or more g and h letters "
+                        "to substitute, past the limit of %d"
+                        % (shown(count), limit))
+                for x in central:
+                    central[x] += exp
+                rest = iter(patterns[letter][exp > 0] * abs(exp))
+                # past the last copy, a blank term merges with nothing
+                letter, exp = next(rest, ("", 0))
+            # a copy that cancels the last run meets the run before it;
+            # once one does not, the rest cannot and is appended whole
+            while out and out[-1][0] == letter:
                 exp += out[-1][1]
                 if exp:
                     out[-1] = (letter, exp)
-                else:
-                    out.pop()
-            elif exp:
-                out.append((letter, exp))
+                    break
+                out.pop()
+                if rest is None:
+                    break
+                letter, exp = next(rest, ("", 0))
+            else:
+                if exp:
+                    out.append((letter, exp))
+            if rest is not None:
+                out += rest
     except PreconditionError:
         raise
     except (TypeError, ValueError) as exc:

@@ -48,11 +48,16 @@ REFUSED = (
     ["reduce", "g^1000000000"],
     ["classify", "g^100000000"],
     ["factorize", "h^-100000000"],
+    # the running total crosses the limit on the second term
+    ["reduce", "g^60000 h^-60000"],
 )
 
 _WITNESS = ('NotRightVeering (boundary C1) witness {"start": ["C1", 0], '
             '"end": ["%s", 0], "crossings": []}\n')
 _EMPTY_FORM = '{"r": [0, 0, 0, 0], "blocks": []}\n'
+# g^k stands for a b c d (f^-1 e^-1)^k
+_G_AT_LIMIT = '{"r": [100000, 100000, 100000, 100000], "blocks": [%s]}\n' \
+    % ", ".join(["[0, -1]"] + ["[-1, -1]"] * 99999 + ["[-1, 0]"])
 ANSWERED = (
     # long powers of one twist, each answered from its closed form
     (["check-rv", "e^-16000"], _WITNESS % "C3"),
@@ -63,6 +68,8 @@ ANSWERED = (
     # empty and blank words, and the largest bound
     (["reduce", ""], _EMPTY_FORM),
     (["reduce", "   "], _EMPTY_FORM),
+    # a normal form exactly at the g/h letter limit
+    (["reduce", "g^100000"], _G_AT_LIMIT),
     (["check-rv", ""], "NoWitnessUpToBound (bound 12)\n"),
     (["check-rv", "--bound", "800", "a b c d e f"],
      "NoWitnessUpToBound (bound 800)\n"),

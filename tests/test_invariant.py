@@ -27,7 +27,7 @@ from lanternbook.errors import InvariantViolation, PreconditionError
 from lanternbook.invariant import (SLOPES, _certify_relations, _invariant,
                                    coefficients, equal_in_mcg, right_veering,
                                    twist_number)
-from lanternbook.lantern import ReducedForm, expand, reduce
+from lanternbook.lantern import ReducedForm, _joined, _peel, expand, reduce
 from lanternbook.words import (GENERATORS, INTERIOR, _class_of_sums,
                                concat, exponent_class, free_reduce, invert,
                                merge_terms, parse, word_length)
@@ -319,6 +319,55 @@ def test_one_walk_and_the_sign_of_c_give_the_five_pass_twist_number():
         assert twist_number(raw) == _twist_number_by_five_passes(raw), raw
         kinds["identity" if b == c == 0 else "parabolic"] += 1
     assert kinds["identity"] >= 500 and kinds["parabolic"] >= 500, kinds
+
+
+def _long_core_form(rng):
+    """A seeded form around a core of 2-12 alternating e/f runs with
+    exponents up to +-40, read from a random letter and conjugated by
+    0-3 runs, with boundary exponents -2..2."""
+    first = rng.choice("ef")
+    core = [("ef"[("ef".index(first) + i) % 2],
+             rng.choice((-40, -7, -3, -2, -1, 1, 2, 3, 7, 40)))
+            for i in range(rng.randint(2, 12))]
+    j = rng.randrange(len(core))
+    x, a = core[j]
+    o = rng.randint(0, abs(a) - 1) * (1 if a > 0 else -1)
+    turned = [(x, a - o)] + core[j + 1:] + core[:j] + [(x, o)]
+    u = [(rng.choice("ef"), rng.choice((-2, -1, 1, 3)))
+         for _ in range(rng.randint(0, 3))]
+    boundary = [(letter, rng.randint(-2, 2)) for letter in "abcd"]
+    return reduce(concat(boundary, u, turned, invert(u)))
+
+
+def test_the_twist_number_is_half_the_sign_balance_of_the_cyclic_runs():
+    """tau(P) = (p - n) / 2 for a pseudo-Anosov class, p and n the numbers
+    of positive and negative exponents among the cyclic runs of the core
+    of its reduced form, against the one-walk twist number: every core
+    of 2, 4 or 6 runs with exponents -3..3 read from the start of its
+    e-run, and seeded long cores, turned and conjugated, so that runs are
+    peeled and end runs joined."""
+    exps = (-3, -2, -1, 1, 2, 3)
+    forms = [ReducedForm((0, 0, 0, 0), tuple(zip(xs[::2], xs[1::2])))
+             for s in (1, 2, 3)
+             for xs in itertools.product(exps, repeat=2 * s)]
+    rng = random.Random(20261021)
+    forms += [_long_core_form(rng) for _ in range(4000)]
+    seen = collections.Counter()
+    for rf in forms:
+        w = expand(rf)
+        (a, _, _, d), _ = _invariant(SLOPES, w)
+        if abs(a + d) <= 2:
+            continue
+        prefix, core = _peel(rf)
+        runs = _joined(core)[1]
+        balance = sum(1 if exp > 0 else -1 for _, exp in runs)
+        assert 2 * twist_number(w) == balance, rf
+        seen["pseudo-Anosov"] += 1
+        seen["peeled"] += bool(prefix)
+        seen["joined"] += len(runs) < len(core)
+        seen["long"] += len(runs) >= 8
+    assert seen["pseudo-Anosov"] >= 50000 and \
+        min(seen.values()) >= 500, seen
 
 
 def test_fdtc_threshold_matches_the_witness_search(monkeypatch):

@@ -11,13 +11,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lanternbook.invariant import equal_in_mcg
-from lanternbook.errors import InvariantViolation, PreconditionError
+from lanternbook.errors import InvariantViolation, PreconditionError, shown
 from lanternbook.classify import _shape
-from lanternbook.lantern import (PositiveFactorization, ReducedForm,
-                                 _factor_words, _h_rule, _joined, _pack,
-                                 _peel, _rotation_classes, _rule_and_cost,
-                                 canonical_form, cyclic_rotations, expand,
-                                 mirror_ef, positive_factorization, reduce,
+from lanternbook.lantern import (CORE_LIMIT, GH_LIMIT, PositiveFactorization,
+                                 ReducedForm, _factor_words, _h_rule,
+                                 _joined, _pack, _peel, _rotation_classes,
+                                 _rule_and_cost, canonical_form,
+                                 cyclic_rotations, expand, mirror_ef,
+                                 positive_factorization, reduce,
                                  rf_from_json, rf_to_json,
                                  rotation_conjugator, substitute_gh)
 from lanternbook.words import (concat, exponent_class, format_word,
@@ -143,6 +144,117 @@ def test_reduce_is_a_unique_normal_form():
         equal += same
         unequal += not same
     assert equal >= 2000 and unequal >= 1500
+
+
+# The substitution as it was before g and h were merged by their e/f
+# patterns: each g^k or h^k written out as |k| copies of its six-term
+# substitution (of the inverse when k < 0), then freely reduced.
+
+_G_SIX = parse("a b c d f^-1 e^-1")
+_H_SIX = parse("a b c d e^-1 f^-1")
+_SIX_TERMS = {("g", True): _G_SIX, ("g", False): invert(_G_SIX),
+              ("h", True): _H_SIX, ("h", False): invert(_H_SIX)}
+
+
+def _six_term_substituted(terms):
+    gh = 0
+    for letter, exp in terms:
+        if (letter == "g" or letter == "h") and type(exp) is int:
+            gh += abs(exp)
+            if gh > GH_LIMIT:
+                raise PreconditionError(
+                    "normal form too large: %s or more g and h letters to "
+                    "substitute, past the limit of %d" % (shown(gh), GH_LIMIT))
+            yield from _SIX_TERMS[letter, exp > 0] * abs(exp)
+        else:
+            yield letter, exp
+
+
+def _six_term_reduce(terms):
+    word = free_reduce(_six_term_substituted(terms))
+    boundary = dict(t for t in word if t[0] in "abcd")
+    return ReducedForm(tuple(boundary.get(x, 0) for x in "abcd"),
+                       _pack([t for t in word if t[0] in "ef"]))
+
+
+def _seam_terms(rng):
+    """A seeded raw term list over all eight letters with zero exponents
+    and g/h exponents up to +-1000, where some g^k or h^k follows e/f
+    runs that its copies cancel, in runs split in two or written whole,
+    and some follows a run that its first copy joins."""
+    terms = []
+    for _ in range(rng.randint(0, 8)):
+        letter = rng.choice("abcdefgh")
+        big = letter in "gh" and rng.random() < 0.2
+        exp = rng.randint(-1000, 1000) if big else rng.randint(-3, 3)
+        if letter in "gh" and exp and rng.random() < 0.5:
+            # the inverse of the first j copies of its pattern, and maybe
+            # one more letter, which the next copy then joins
+            copies = _SIX_TERMS[letter, exp > 0] * abs(exp)
+            pattern = [t for t in copies if t[0] in "ef"]
+            j = rng.randint(1, len(pattern))
+            runs = invert(pattern[:j])
+            if rng.random() < 0.3:
+                x, k = pattern[j % len(pattern)]
+                runs += ((x, -k if rng.random() < 0.5 else k),)
+            for x, k in runs:
+                if rng.random() < 0.3:      # the run split in two
+                    cut = rng.randint(-2, 2)
+                    terms += [(x, cut), (x, k - cut)]
+                else:
+                    terms.append((x, k))
+        terms.append((letter, exp))
+    return terms
+
+
+def test_reduce_matches_the_six_term_substitution():
+    rng = random.Random(20261020)
+    cases = [[("e", 1), ("f", 1), ("g", 3)], [("f", -1), ("e", -1), ("g", -2)],
+             [("e", 2), ("h", -1), ("f", -3)], [("g", -1000), ("g", 1000)],
+             [("h", 0), ("g", 0), ("e", 1)], [("e", 1), ("f", 2), ("f", -1),
+                                              ("e", 1), ("f", 1), ("g", 2)]]
+    cases += [_seam_terms(rng) for _ in range(6000)]
+    seen = dict.fromkeys(("zero", "big", "cancelled", "joined"), 0)
+    for terms in cases:
+        assert reduce(terms) == _six_term_reduce(terms), terms
+        assert substitute_gh(terms) == \
+            free_reduce(_six_term_substituted(terms)), terms
+        seen["zero"] += any(exp == 0 for _, exp in terms)
+        seen["big"] += any(x in "gh" and abs(k) > 100 for x, k in terms)
+        for i, (letter, exp) in enumerate(terms):
+            if letter in "gh" and exp:
+                seam = _seam(terms, i)
+                seen[seam] = seen.get(seam, 0) + 1
+    assert min(seen.values()) >= 300, seen
+
+
+def _seam(terms, i):
+    """How the first copy of the g/h term ``terms[i]`` meets the runs of
+    the terms before it: "cancelled", "joined", or None."""
+    runs = expand(_six_term_reduce(terms[:i]))
+    letter, exp = terms[i]
+    x, k = [t for t in _SIX_TERMS[letter, exp > 0] if t[0] in "ef"][0]
+    if not runs or runs[-1][0] != x:
+        return None
+    return "cancelled" if runs[-1][1] == -k else "joined"
+
+
+def test_normal_form_refusals_match_the_six_term_substitution():
+    # a malformed term before and after a g/h term past the limit, a
+    # total that crosses it on the second term, and one too long to print
+    over = ("g", GH_LIMIT + 1)
+    lists = ([("x", 1), over], [over, ("x", 1)],
+             [("e", 1.5), ("h", -GH_LIMIT - 1)], [over, ("e", 1.5)],
+             [("g", True), over], [over, ("g", True)], [5, over], [over, 5],
+             [("e", 1), ("f",), over], [("g", 60000), ("h", -60000)],
+             [("g", GH_LIMIT), ("x", 1)], [("h", 10 ** 5000)])
+    for i, terms in enumerate(lists):
+        with pytest.raises(PreconditionError) as expected:
+            free_reduce(_six_term_substituted(terms))
+        for call in (reduce, substitute_gh):
+            with pytest.raises(PreconditionError) as got:
+                call(terms)
+            assert str(got.value) == str(expected.value), (i, call)
 
 
 # -- the ReducedForm invariants ------------------------------------------
@@ -341,6 +453,23 @@ def test_canonical_form_is_constant_on_rotations(rf):
     for rho in cyclic_rotations(rf):
         assert canonical_form(rho) == key
     assert key in cyclic_rotations(rf)
+
+
+def test_rotations_refuse_a_core_past_the_limit():
+    # one form per core letter, so the core's length is checked first
+    r = (0, 0, 0, 0)
+    at_limit = ReducedForm(r, ((CORE_LIMIT, 0),))
+    assert len(cyclic_rotations(at_limit)) == CORE_LIMIT
+    for rf, size in ((ReducedForm(r, ((CORE_LIMIT + 1, 0),)), CORE_LIMIT + 1),
+                     (reduce("e^1000000000000"), 10 ** 12),
+                     (reduce("e^3000000 f"), 3000001),
+                     (reduce("f e^-2 f^3000000 e^2 f^-1"), 3000000)):
+        for call in (cyclic_rotations, canonical_form):
+            with pytest.raises(PreconditionError) as got:
+                call(rf)
+            assert str(got.value) == ("too many rotations: a core of %d "
+                                      "letters, past the limit of %d"
+                                      % (size, CORE_LIMIT))
 
 
 # -- mirror ---------------------------------------------------------------
